@@ -72,7 +72,7 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _instance_report(frame, cfg: SolverConfig, seed=None) -> tuple[dict, bool]:
+def _instance_report(frame, cfg: SolverConfig) -> tuple[dict, bool]:
     inst = nearest_equal_norm_parseval(frame, cfg)
     chain4 = chain2 = None
     if inst.converged and defects(frame).parseval_eps <= PARSEVAL_ATOL:
@@ -93,7 +93,7 @@ def _instance_report(frame, cfg: SolverConfig, seed=None) -> tuple[dict, bool]:
         "bound_16eM": inst.bound_16eM,
         "ratio_chain4": chain4,
         "ratio_chain2": chain2,
-        "seed": seed,
+        "seed": None,
     }
     return report, inst.converged
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, herm_eig, hs_norm, inv_sqrt_psd
+from .linalg import as_matrix, herm_eig, hs_norm, inv_sqrt_eig
 
 __all__ = [
     "RankDeficientError",
@@ -47,11 +47,13 @@ class Frame:
     """Ordered spanning family of N vectors in C^M (N >= M).
 
     Construction validates finiteness and the spanning property (smallest
-    frame-operator eigenvalue above ``SPAN_EIG_FLOOR``); rank-deficient
-    vector lists are rejected outright.  Instances are immutable.
+    frame-operator eigenvalue above ``SPAN_EIG_FLOOR`` times the largest);
+    rank-deficient vector lists are rejected outright.  The eigendecomposition
+    of the frame operator made for that check is kept, and every reader of
+    the spectrum reuses it.  Instances are immutable.
     """
 
-    __slots__ = ("_vectors",)
+    __slots__ = ("_vectors", "_eig")
 
     def __init__(self, vectors):
         v = as_matrix(vectors, "vectors")
@@ -60,15 +62,20 @@ class Frame:
             raise ValueError(
                 f"a frame needs at least dim vectors: got {n} vectors in dimension {m}"
             )
-        s = v.T @ v.conj()
-        lam_min = float(herm_eig(s).eigenvalues[-1])
-        if lam_min <= SPAN_EIG_FLOOR:
-            raise RankDeficientError(
-                f"vectors do not span C^{m}: smallest frame-operator eigenvalue {lam_min:.3e}"
-            )
         v = v.copy()
         v.flags.writeable = False
+        eig = herm_eig(v.T @ v.conj())
+        lam_min = float(eig.eigenvalues[-1])
+        lam_max = float(eig.eigenvalues[0])
+        if lam_min <= SPAN_EIG_FLOOR * lam_max:
+            raise RankDeficientError(
+                f"vectors do not span C^{m}: smallest frame-operator eigenvalue "
+                f"{lam_min:.3e}, largest {lam_max:.3e}"
+            )
+        eig.eigenvalues.flags.writeable = False
+        eig.eigenvectors.flags.writeable = False
         self._vectors = v
+        self._eig = eig
 
     @property
     def vectors(self) -> np.ndarray:
@@ -117,7 +124,7 @@ def frame_operator(frame: Frame) -> np.ndarray:
 
 def frame_bounds(frame: Frame) -> tuple[float, float]:
     """Optimal frame bounds (A, B) = extreme eigenvalues of the frame operator."""
-    evals = herm_eig(frame_operator(frame)).eigenvalues
+    evals = frame._eig.eigenvalues
     return float(evals[-1]), float(evals[0])
 
 
@@ -145,7 +152,7 @@ def defects(frame: Frame) -> FrameDefects:
 
 def canonical_parseval(frame: Frame) -> Frame:
     """The Parseval frame {S^{-1/2} f_i}, the closest Parseval frame to F."""
-    r = inv_sqrt_psd(frame_operator(frame))
+    r = inv_sqrt_eig(frame._eig)
     return Frame(frame.vectors @ r.T)
 
 

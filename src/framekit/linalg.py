@@ -19,6 +19,7 @@ __all__ = [
     "hs_norm",
     "herm_eig",
     "svd",
+    "inv_sqrt_eig",
     "inv_sqrt_psd",
 ]
 
@@ -86,20 +87,30 @@ def svd(a) -> Svd:
     return Svd(u, s, vh.conj().T)
 
 
-def inv_sqrt_psd(s, eig_floor: float = EIG_FLOOR) -> np.ndarray:
-    """Inverse square root of a Hermitian positive-definite matrix.
+def inv_sqrt_eig(decomp: HermEig, eig_floor: float = EIG_FLOOR) -> np.ndarray:
+    """Inverse square root of a Hermitian matrix from its eigendecomposition.
 
     Returns the Hermitian R with R @ S @ R = I.  Raises
-    :class:`SingularMatrixError` when the smallest eigenvalue of the
-    symmetrized input does not clear ``eig_floor``.
+    :class:`SingularMatrixError` when the smallest eigenvalue does not clear
+    ``eig_floor`` times the largest, so the test does not depend on the
+    matrix's scale.
     """
-    decomp = herm_eig(s)
     lam_min = float(decomp.eigenvalues[-1])
-    if lam_min <= eig_floor:
+    lam_max = float(decomp.eigenvalues[0])
+    if lam_min <= eig_floor * lam_max:
         raise SingularMatrixError(
             f"matrix is numerically singular: smallest eigenvalue "
-            f"{lam_min:.6e} <= {eig_floor:.0e}"
+            f"{lam_min:.6e} <= {eig_floor:.0e} x largest eigenvalue {lam_max:.6e}"
         )
     v = decomp.eigenvectors
     r = (v * decomp.eigenvalues**-0.5) @ v.conj().T
     return 0.5 * (r + r.conj().T)
+
+
+def inv_sqrt_psd(s, eig_floor: float = EIG_FLOOR) -> np.ndarray:
+    """Inverse square root of a Hermitian positive-definite matrix.
+
+    The input is symmetrized and decomposed by :func:`herm_eig`; see
+    :func:`inv_sqrt_eig` for the result and the singularity test.
+    """
+    return inv_sqrt_eig(herm_eig(s), eig_floor)

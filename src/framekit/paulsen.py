@@ -222,11 +222,13 @@ def _alternating_solve(v0: np.ndarray, targets_sq: np.ndarray, cfg: SolverConfig
         s = 0.5 * (s + s.conj().T)
         evals, evecs = np.linalg.eigh(s)
         parseval_eps = max(1.0 - float(evals[0]), float(evals[-1]) - 1.0)
-        norms_sq = np.sum(np.abs(v) ** 2, axis=1)
-        norm_eps = float(np.max(np.abs(norms_sq / targets_sq - 1.0)))
+        norms_sq = (np.abs(v) ** 2).sum(axis=1)
+        norm_eps = float(np.abs(norms_sq / targets_sq - 1.0).max())
         combined = max(parseval_eps, norm_eps)
+        # No copy: v is rebound below, and the dead-vector write touches only
+        # the fresh array that v @ r.T returns.
         if combined < best_defect:
-            best, best_defect = v.copy(), combined
+            best, best_defect = v, combined
         iterations = it
         if parseval_eps <= cfg.tolerance and norm_eps <= cfg.tolerance:
             best = v
@@ -239,11 +241,11 @@ def _alternating_solve(v0: np.ndarray, targets_sq: np.ndarray, cfg: SolverConfig
         if it >= 2 and combined > prev_combined + MONOTONE_SLACK:
             break
         prev_combined = combined
-        if it == cfg.max_iterations or float(evals[0]) <= SPAN_EIG_FLOOR:
+        if it == cfg.max_iterations or float(evals[0]) <= SPAN_EIG_FLOOR * float(evals[-1]):
             break
         r = (evecs * evals**-0.5) @ evecs.conj().T
         v = v @ r.T
-        norms = np.sqrt(np.sum(np.abs(v) ** 2, axis=1))
+        norms = np.sqrt((np.abs(v) ** 2).sum(axis=1))
         dead = norms < ZERO_VECTOR_NORM
         if dead.any():
             degenerate = True

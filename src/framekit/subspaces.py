@@ -48,10 +48,11 @@ class Projection:
 
     Validation (relative to max(1, HS norm)): Hermiticity and idempotency
     within ``atol``, trace within 1e-8 of the rank inferred from the
-    eigenvalue split at 1/2.
+    eigenvalue split at 1/2.  The eigendecomposition made for the rank is
+    kept, and every reader of the range basis reuses it.
     """
 
-    __slots__ = ("_matrix", "_rank")
+    __slots__ = ("_matrix", "_rank", "_eig")
 
     def __init__(self, matrix, *, atol: float = 1e-9):
         p = as_matrix(matrix, "matrix")
@@ -66,16 +67,19 @@ class Projection:
         idem_defect = hs_norm(p @ p - p)
         if idem_defect > atol * scale:
             raise ValueError(f"matrix is not idempotent: defect {idem_defect:.3e}")
-        evals = herm_eig(p).eigenvalues
-        rank = int(np.count_nonzero(evals > 0.5))
+        eig = herm_eig(p)
+        rank = int(np.count_nonzero(eig.eigenvalues > 0.5))
         if rank == 0:
             raise ValueError("projection has rank 0")
         trace = float(np.trace(p).real)
         if abs(trace - rank) > 1e-8 * max(1.0, rank):
             raise ValueError(f"trace {trace!r} is not consistent with rank {rank}")
         p.flags.writeable = False
+        eig.eigenvalues.flags.writeable = False
+        eig.eigenvectors.flags.writeable = False
         self._matrix = p
         self._rank = rank
+        self._eig = eig
 
     @property
     def matrix(self) -> np.ndarray:
@@ -165,7 +169,7 @@ def _range_basis(p: Projection) -> np.ndarray:
     validated projection the spectrum splits cleanly, so this is a sanity
     gate rather than a numerical decision.
     """
-    eig = herm_eig(p.matrix)
+    eig = p._eig
     m = p.rank
     if eig.eigenvalues[m - 1] < 1.0 - 1e-6 or (
         p.size > m and eig.eigenvalues[m] > 1e-6

@@ -8,6 +8,7 @@ are formatted with ``repr`` (shortest round-trip); a ``#``-prefixed summary
 block after the rows reports the worst observed distance/(eps*M) per cell.
 """
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -25,7 +26,7 @@ from .paulsen import (
 from .subspaces import projection_from_frame
 from .verify import random_equal_norm_parseval
 
-__all__ = ["ExperimentConfig", "CSV_COLUMNS", "run_trial", "run_sweep"]
+__all__ = ["ExperimentConfig", "CSV_COLUMNS", "run_trial", "worker_count", "run_sweep"]
 
 CSV_COLUMNS = [
     "M",
@@ -191,6 +192,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def worker_count(jobs: int, n_tasks: int, cpus: int | None) -> int:
+    """Pool size for ``jobs`` requested workers: never more than the tasks or
+    the CPUs (``os.cpu_count()``, which may be None), and at least 1."""
+    return max(1, min(jobs, n_tasks, cpus or 1))
+
+
 def run_sweep(config: ExperimentConfig, jobs: int = 1) -> str:
     """Execute the full grid and return the CSV text (rows + summary block)."""
     tasks = []
@@ -198,8 +205,9 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> str:
         for trial in range(config.trials_per_cell):
             trial_seed = derive_seed(config.master_seed, m, n, eps, trial)
             tasks.append((m, n, eps, trial_seed, config.tolerance, config.max_iterations))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = worker_count(jobs, len(tasks), os.cpu_count())
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_worker, tasks, chunksize=4))
     else:
         rows = [_worker(t) for t in tasks]

@@ -7,6 +7,7 @@ import pytest
 
 from framekit import harmonic_frame, perturb
 from framekit.serialize import dump_json, frame_from_dict, frame_to_dict
+from framekit.sweep import worker_count
 
 
 def run_cli(*args):
@@ -96,6 +97,15 @@ class TestSolve:
         assert report["iterations"] <= 1
         assert report["ratio_chain4"] is not None
 
+    def test_tiny_scale_frame_converges(self, tmp_path):
+        from framekit import Frame
+
+        path = tmp_path / "tiny.json"
+        dump_json(frame_to_dict(Frame(1e-7 * harmonic_frame(3, 7).vectors)), str(path))
+        res = run_cli("solve", str(path))
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["converged"] is True
+
     def test_non_convergence_exits_3(self, perturbed_file):
         res = run_cli("solve", perturbed_file, "--max-iter", "1", "--tol", "1e-14")
         assert res.returncode == 3
@@ -143,6 +153,14 @@ class TestSweep:
         path, _ = self.config(tmp_path, output_path="/nonexistent-dir/out.csv")
         res = run_cli("sweep", str(path))
         assert res.returncode == 4
+
+
+    @pytest.mark.parametrize(
+        "jobs, n_tasks, cpus, expected",
+        [(8, 100, 2, 2), (8, 3, 16, 3), (2, 100, None, 1), (1, 100, 8, 1), (0, 5, 4, 1), (4, 100, 8, 4)],
+    )
+    def test_worker_count_is_clamped(self, jobs, n_tasks, cpus, expected):
+        assert worker_count(jobs, n_tasks, cpus) == expected
 
 
 class TestVerify:

@@ -17,7 +17,9 @@ from framekit import (
     gram,
     harmonic_frame,
     haar_unitary,
+    herm_eig,
     hs_norm,
+    inv_sqrt_psd,
     random_parseval,
     vector_norms_sq,
 )
@@ -48,6 +50,14 @@ class TestFrameConstruction:
         f = harmonic_frame(2, 3)
         with pytest.raises(ValueError):
             f.vectors[0, 0] = 1.0
+
+    @pytest.mark.parametrize("c", [1e-7, 1e-3, 1e3, 1e7])
+    def test_span_floor_is_relative_to_scale(self, c):
+        a, b = frame_bounds(scaled_frame(harmonic_frame(3, 7), c))
+        assert abs(a / c**2 - 1.0) <= 1e-10 and abs(b / c**2 - 1.0) <= 1e-10
+        v = np.array([[1.0, 0.0], [1.0, 0.0]]) / math.sqrt(2)
+        with pytest.raises(RankDeficientError):
+            Frame(c * v)
 
 
 class TestAnalysisAndOperator:
@@ -170,6 +180,38 @@ class TestCanonicalParseval:
         f = near_parseval_frame(0.3, 3, 7, 31)
         g = canonical_parseval(f)
         assert frame_distance(g, canonical_parseval(g)) <= 1e-9
+
+
+class TestSpectrumReuse:
+    """The frame operator is decomposed once, when the frame is validated."""
+
+    def test_construction_decomposes_once(self, rng, eigh_calls):
+        Frame(complex_gaussian(rng, (7, 3)))
+        assert eigh_calls == [(3, 3)]
+
+    def test_readers_reuse_the_construction_decomposition(self, eigh_calls):
+        f = near_parseval_frame(0.1, 3, 7, 5)
+        eigh_calls.clear()
+        frame_bounds(f)
+        defects(f)
+        assert eigh_calls == []
+        canonical_parseval(f)
+        # only the returned frame's own validation
+        assert eigh_calls == [(3, 3)]
+
+    def test_cached_spectrum_equals_recomputation(self, rng):
+        inputs = [
+            complex_gaussian(rng, (7, 3)),
+            complex_gaussian(rng, (4, 9)).T,  # a non-contiguous view
+            rng.standard_normal((5, 5)),
+            near_parseval_frame(0.3, 4, 9, 2).vectors,
+        ]
+        for v in inputs:
+            f = Frame(v)
+            evals = herm_eig(frame_operator(f)).eigenvalues
+            assert frame_bounds(f) == (float(evals[-1]), float(evals[0]))
+            reference = f.vectors @ inv_sqrt_psd(frame_operator(f)).T
+            assert np.array_equal(canonical_parseval(f).vectors, reference)
 
 
 class TestDistanceAndPotential:

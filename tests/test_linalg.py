@@ -88,6 +88,13 @@ def test_inv_sqrt_singular_names_eigenvalue():
         inv_sqrt_psd(np.diag([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("c", [1e-14, 1.0, 1e14])
+def test_inv_sqrt_singularity_floor_is_relative(c):
+    assert np.allclose(inv_sqrt_psd(c * np.eye(2)), np.eye(2) / np.sqrt(c), rtol=1e-12, atol=0.0)
+    with pytest.raises(SingularMatrixError):
+        inv_sqrt_psd(c * np.diag([1.0, 1e-13]))
+
+
 def test_as_matrix_rejects_nan_and_bad_shape():
     with pytest.raises(ValueError, match="NaN"):
         as_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))

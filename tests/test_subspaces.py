@@ -16,6 +16,7 @@ from framekit import (
     frame_lift,
     gram,
     harmonic_frame,
+    herm_eig,
     hs_norm,
     principal_angles,
     proj_distance,
@@ -120,6 +121,27 @@ class TestPrincipalAngles:
             c = principal_angles(p, q).cosines
             assert np.all(np.diff(c) <= 1e-15)
             assert np.all((0.0 <= c) & (c <= 1.0))
+
+
+class TestRangeBasisReuse:
+    """A projection is decomposed once, when it is validated."""
+
+    def test_principal_angles_makes_no_decomposition(self, eigh_calls):
+        for t in range(5):
+            p, q = random_projection_pair(t)
+            eigh_calls.clear()
+            principal_angles(p, q)
+            aligned_bases(p, q)
+            assert eigh_calls == []
+
+    def test_frame_from_projection_decomposes_only_the_new_frame(self, eigh_calls):
+        p, _ = random_projection_pair(3)
+        eigh_calls.clear()
+        f = frame_from_projection(p)
+        assert eigh_calls == [(p.rank, p.rank)]
+        # a fresh decomposition of the matrix is the reference
+        basis = herm_eig(p.matrix).eigenvectors[:, : p.rank]
+        assert np.array_equal(f.vectors, np.conj(basis))
 
 
 class TestChordal:
