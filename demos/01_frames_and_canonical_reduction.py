@@ -18,9 +18,9 @@ from framekit import (
     frame_potential,
     gram,
     harmonic_frame,
+    near_parseval_frame,
     vector_norms_sq,
 )
-from framekit.verify import near_parseval_frame
 
 print("=== a harmonic frame is equal-norm Parseval ===")
 f = harmonic_frame(3, 7)

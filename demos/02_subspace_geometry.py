@@ -21,9 +21,9 @@ from framekit import (
     principal_angles,
     proj_distance,
     projection_from_frame,
+    random_equal_norm_parseval,
     random_parseval,
 )
-from framekit.verify import random_equal_norm_parseval
 
 print("=== coordinate ranges in C^4: span{e1,e2} vs span{e1,e3} ===")
 p = Projection(np.diag([1.0, 1.0, 0.0, 0.0]))

@@ -44,7 +44,7 @@ print(" not an assertion)")
 print()
 print("=== frame instance -> projection instance, factor 4 ===")
 fp = canonical_parseval(f)
-rep4 = equivalence_chain_frame_to_projection(fp)
+rep4 = equivalence_chain_frame_to_projection(nearest_equal_norm_parseval(fp))
 print(f"frame distance:      {rep4.paulsen_distance:.6e}")
 print(f"projection distance: {rep4.projection_distance:.6e}")
 print(f"ratio: {rep4.ratio:.4f} (bound 4), within_bound={rep4.within_bound}")

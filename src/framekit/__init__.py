@@ -6,10 +6,12 @@ nearness solving, Naimark complements, and prescribed-norm feasibility
 tests, with a seeded experiment harness on top.
 """
 
+from ._seeding import derive_seed
 from .admissibility import (
     AdmissibilityVerdict,
     AdmissibleSequence,
     SpectrumSpec,
+    feasible_norm_targets,
     is_parseval_admissible,
     is_S_admissible,
     nearest_prescribed_norm_parseval,
@@ -47,9 +49,13 @@ from .paulsen import (
     equivalence_chain_projection_to_frame,
     haar_unitary,
     harmonic_frame,
+    near_parseval_frame,
     nearest_equal_norm_parseval,
+    parseval_pair,
     perturb,
+    random_equal_norm_parseval,
     random_parseval,
+    random_projection_pair,
 )
 from .subspaces import (
     AlignedBases,

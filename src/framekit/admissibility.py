@@ -15,12 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import Frame, defects
-from .paulsen import PaulsenInstance, SolverConfig, _solve_to_norms
+from .paulsen import PaulsenInstance, SolverConfig
 
 __all__ = [
     "AdmissibleSequence",
     "SpectrumSpec",
     "AdmissibilityVerdict",
+    "feasible_norm_targets",
     "is_parseval_admissible",
     "is_S_admissible",
     "prescribed_norm_defect",
@@ -77,6 +78,17 @@ class SpectrumSpec:
 
     def __repr__(self) -> str:
         return f"SpectrumSpec(n={len(self)})"
+
+
+def feasible_norm_targets(m: int, n: int, rng: np.random.Generator) -> AdmissibleSequence:
+    """Random Parseval-admissible norm sequence (squares sum to m, all < 1)."""
+    a2 = rng.uniform(0.2, 1.0, size=n)
+    a2 *= m / np.sum(a2)
+    top = float(np.max(a2))
+    if top > 0.99:
+        lam = (0.99 - m / n) / (top - m / n)
+        a2 = lam * a2 + (1.0 - lam) * (m / n)
+    return AdmissibleSequence(np.sqrt(a2), m)
 
 
 @dataclass(frozen=True)
@@ -159,4 +171,4 @@ def nearest_prescribed_norm_parseval(
     if not verdict:
         raise ValueError(f"norm sequence is not admissible: {verdict.violated}")
     eps = max(defects(frame).parseval_eps, prescribed_norm_defect(frame, seq))
-    return _solve_to_norms(frame, seq.original**2, cfg, eps)
+    return PaulsenInstance.solve(frame, seq.original**2, cfg, eps)

@@ -77,7 +77,7 @@ def _instance_report(frame, cfg: SolverConfig) -> tuple[dict, bool]:
     chain4 = chain2 = None
     if inst.converged and defects(frame).parseval_eps <= PARSEVAL_ATOL:
         try:
-            chain4 = equivalence_chain_frame_to_projection(frame, cfg).ratio
+            chain4 = equivalence_chain_frame_to_projection(inst).ratio
             chain2 = equivalence_chain_projection_to_frame(
                 projection_from_frame(frame), cfg
             ).ratio

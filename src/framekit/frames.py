@@ -46,7 +46,9 @@ class RankDeficientError(ValueError):
 class Frame:
     """Ordered spanning family of N vectors in C^M (N >= M).
 
-    Construction validates finiteness and the spanning property (smallest
+    Construction validates finiteness of the vectors and of their frame
+    operator (vectors so large that it overflows are rejected with a
+    ``ValueError``) and the spanning property (smallest
     frame-operator eigenvalue above ``SPAN_EIG_FLOOR`` times the largest);
     rank-deficient vector lists are rejected outright.  The eigendecomposition
     of the frame operator made for that check is kept, and every reader of
@@ -64,7 +66,13 @@ class Frame:
             )
         v = v.copy()
         v.flags.writeable = False
-        eig = herm_eig(v.T @ v.conj())
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = v.T @ v.conj()
+        if not np.isfinite(s).all():
+            raise ValueError(
+                "vectors are too large: the frame operator overflows to Inf or NaN"
+            )
+        eig = herm_eig(s)
         lam_min = float(eig.eigenvalues[-1])
         lam_max = float(eig.eigenvalues[0])
         if lam_min <= SPAN_EIG_FLOOR * lam_max:

@@ -1,10 +1,17 @@
 """Dense complex linear-algebra kernel.
 
-Thin, contract-checked wrappers around LAPACK (via ``numpy.linalg``) so that
-every other module decomposes matrices through one place.  All routines take
-and return 2-D ``complex128`` arrays; real input is embedded with a zero
-imaginary part.  Hermitian inputs are symmetrized before decomposition to
-absorb accumulation error.
+Thin, contract-checked wrappers around LAPACK (via ``numpy.linalg``): the
+validated Hermitian eigendecomposition that every ``Frame`` and
+``Projection`` runs on construction, a thin SVD, and inverse square roots.
+All routines take and return 2-D ``complex128`` arrays; real input is
+embedded with a zero imaginary part.  Hermitian inputs are symmetrized
+before decomposition to absorb accumulation error.
+
+Not every decomposition goes through here.  The alternating solver's inner
+loop calls ``numpy.linalg.eigh`` directly on its raw array (ascending
+eigenvalues, no validation per iteration); ``subspaces`` calls
+``numpy.linalg.svd`` for principal angles, aligned bases and the frame
+lift; and ``paulsen.haar_unitary`` calls ``numpy.linalg.qr``.
 """
 
 from typing import NamedTuple

@@ -14,13 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import Frame, defects, frame_distance, gram
-from .paulsen import (
-    PaulsenInstance,
-    SolverConfig,
-    _ratio,
-    _require_converged,
-    nearest_equal_norm_parseval,
-)
+from .paulsen import PaulsenInstance, SolverConfig, chain_ratio, nearest_equal_norm_parseval
 from .subspaces import PARSEVAL_ATOL, Projection, frame_from_projection, frame_lift, proj_distance
 
 __all__ = [
@@ -65,7 +59,7 @@ def naimark_reduction_check(frame: Frame, cfg: SolverConfig | None = None) -> Na
     eps = defects(frame).equal_norm_eps
     comp_eps = defects(comp).equal_norm_eps
     n, m = frame.n_vectors, frame.dim
-    instance = _require_converged(nearest_equal_norm_parseval(comp, cfg))
+    instance = nearest_equal_norm_parseval(comp, cfg).require_converged()
     q = Projection(np.eye(n) - gram(instance.solution), atol=1e-7)
     lifted = frame_lift(frame, q)
     lift_distance = frame_distance(frame, lifted)
@@ -77,7 +71,7 @@ def naimark_reduction_check(frame: Frame, cfg: SolverConfig | None = None) -> Na
         complement_distance=instance.distance,
         projection_distance=dist,
         lift_distance=lift_distance,
-        ratio=_ratio(lift_distance, instance.distance),
+        ratio=chain_ratio(lift_distance, instance.distance),
         within_bound=lift_distance <= 8.0 * instance.distance + 1e-8,
         complement_instance=instance,
     )

@@ -1,4 +1,4 @@
-"""Equal-norm Parseval nearness: instance generators, the alternating
+"""Equal-norm Parseval nearness: every instance generator, the alternating
 solver, and the per-instance equivalence chains between the frame-side and
 projection-side problems.
 
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._seeding import derive_seed
 from .frames import (
     SPAN_EIG_FLOOR,
     Frame,
@@ -44,8 +45,13 @@ __all__ = [
     "harmonic_frame",
     "haar_unitary",
     "random_parseval",
+    "random_equal_norm_parseval",
     "perturb",
+    "random_projection_pair",
+    "parseval_pair",
+    "near_parseval_frame",
     "nearest_equal_norm_parseval",
+    "chain_ratio",
     "equivalence_chain_frame_to_projection",
     "equivalence_chain_projection_to_frame",
 ]
@@ -65,7 +71,6 @@ class ConvergenceError(RuntimeError):
 class SolverConfig:
     tolerance: float = 1e-10
     max_iterations: int = 10000
-    seed: int = 0
 
     def __post_init__(self):
         if not self.tolerance > 0:
@@ -94,11 +99,40 @@ class PaulsenInstance:
     degenerate: bool
     bound_16eM: float
 
+    @classmethod
+    def solve(
+        cls, frame: Frame, targets_sq: np.ndarray, cfg: SolverConfig, eps: float
+    ) -> "PaulsenInstance":
+        """Run the alternating solver from ``frame`` towards the per-vector
+        squared norms ``targets_sq`` and record the result, with ``eps`` as
+        the input defect it reports."""
+        d = defects(frame)
+        vectors, iterations, converged, degenerate = _alternating_solve(
+            frame.vectors, targets_sq, cfg
+        )
+        solution = Frame(vectors)
+        return cls(
+            input_frame=frame,
+            defects=d,
+            eps=eps,
+            solution=solution,
+            distance=frame_distance(frame, solution),
+            iterations=iterations,
+            converged=converged,
+            degenerate=degenerate,
+            bound_16eM=16.0 * eps * frame.dim,
+        )
 
-def _ratio(num: float, den: float, atol: float = 1e-12) -> float:
-    if den > atol:
-        return num / den
-    return 0.0 if num <= atol else math.inf
+    def require_converged(self) -> "PaulsenInstance":
+        """Return the instance, or raise :class:`ConvergenceError` when the
+        solver stopped short of its tolerance."""
+        if not self.converged:
+            raise ConvergenceError(
+                f"solver stopped after {self.iterations} iterations without "
+                f"reaching tolerance; best iterate defect "
+                f"{defects(self.solution).max():.3e}"
+            )
+        return self
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +178,12 @@ def random_parseval(m: int, n: int, seed) -> Frame:
     raise RankDeficientError(
         f"no spanning Gaussian draw in 5 attempts for seed {seed!r}"
     ) from last_err
+
+
+def random_equal_norm_parseval(m: int, n: int, seed) -> Frame:
+    """Haar-rotated harmonic frame: a random equal-norm Parseval frame."""
+    u = haar_unitary(m, np.random.default_rng(seed))
+    return Frame(harmonic_frame(m, n).vectors @ u.T)
 
 
 def perturb(frame: Frame, eps: float, seed) -> Frame:
@@ -196,6 +236,61 @@ def perturb(frame: Frame, eps: float, seed) -> Frame:
         else:
             lo, frame_lo = mid, cand
     return frame_lo
+
+
+def _wiggle(frame: Frame, amplitude: float, seed) -> Frame:
+    rng = np.random.default_rng(seed)
+    n, m = frame.vectors.shape
+    d = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    d *= amplitude * hs_norm(frame.vectors) / hs_norm(d)
+    return Frame(frame.vectors + d)
+
+
+def random_projection_pair(seed, max_rank: int = 8, max_size: int = 32):
+    """Random equal-rank projection pair; half the draws are nearby pairs."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, max_rank + 1))
+    n = int(rng.integers(m, max_size + 1))
+    p_frame = random_parseval(m, n, derive_seed(seed, "p"))
+    p = projection_from_frame(p_frame)
+    if rng.integers(2):
+        eps = float(rng.uniform(0.01, 0.3))
+        q = projection_from_frame(canonical_parseval(_wiggle(p_frame, eps, derive_seed(seed, "q"))))
+    else:
+        q = projection_from_frame(random_parseval(m, n, derive_seed(seed, "q")))
+    return p, q
+
+
+def parseval_pair(seed, target_delta: float, m: int, n: int):
+    """Pair of Parseval frames with d(F, G) steered into [delta/4, 4 delta]."""
+    f = random_parseval(m, n, derive_seed(seed, "f"))
+    t = math.sqrt(target_delta / (2.0 * m))
+    g = canonical_parseval(_wiggle(f, t, derive_seed(seed, "g")))
+    for _ in range(6):
+        delta = frame_distance(f, g)
+        if 0.25 * target_delta <= delta <= 4.0 * target_delta:
+            break
+        t *= math.sqrt(target_delta / delta)
+        g = canonical_parseval(_wiggle(f, t, derive_seed(seed, "g")))
+    return f, g
+
+
+def near_parseval_frame(eps: float, m: int, n: int, seed) -> Frame:
+    """Frame with parseval_eps = eps exactly and equal-norm defect <= eps.
+
+    Applies an invertible Hermitian map with extreme eigenvalues
+    sqrt(1 +/- eps) to a random equal-norm Parseval frame, so the
+    frame-operator spectrum attains both ends of [1 - eps, 1 + eps].
+    """
+    rng = np.random.default_rng(seed)
+    base = random_equal_norm_parseval(m, n, derive_seed(seed, "base"))
+    mu = np.sqrt(rng.uniform(1.0 - eps, 1.0 + eps, size=m))
+    mu[0] = math.sqrt(1.0 + eps)
+    if m > 1:
+        mu[-1] = math.sqrt(1.0 - eps)
+    w = haar_unitary(m, rng)
+    x = (w * mu) @ w.conj().T
+    return Frame(base.vectors @ x.T)
 
 
 # ---------------------------------------------------------------------------
@@ -256,35 +351,24 @@ def _alternating_solve(v0: np.ndarray, targets_sq: np.ndarray, cfg: SolverConfig
     return best, iterations, converged, degenerate
 
 
-def _solve_to_norms(frame: Frame, targets_sq: np.ndarray, cfg: SolverConfig, eps: float) -> PaulsenInstance:
-    d = defects(frame)
-    vectors, iterations, converged, degenerate = _alternating_solve(
-        frame.vectors, targets_sq, cfg
-    )
-    solution = Frame(vectors)
-    return PaulsenInstance(
-        input_frame=frame,
-        defects=d,
-        eps=eps,
-        solution=solution,
-        distance=frame_distance(frame, solution),
-        iterations=iterations,
-        converged=converged,
-        degenerate=degenerate,
-        bound_16eM=16.0 * eps * frame.dim,
-    )
-
-
 def nearest_equal_norm_parseval(frame: Frame, cfg: SolverConfig | None = None) -> PaulsenInstance:
     """Solve for the nearest equal-norm Parseval frame by alternating the
     canonical-Parseval and norm-rescaling maps."""
     cfg = cfg or SolverConfig()
     targets_sq = np.full(frame.n_vectors, frame.dim / frame.n_vectors)
-    return _solve_to_norms(frame, targets_sq, cfg, defects(frame).max())
+    return PaulsenInstance.solve(frame, targets_sq, cfg, defects(frame).max())
 
 
 # ---------------------------------------------------------------------------
 # equivalence chains
+
+
+def chain_ratio(num: float, den: float, atol: float = 1e-12) -> float:
+    """Observed ratio ``num / den`` of a chain's two distances: 0 when both
+    are within ``atol`` of zero, infinite when only ``den`` is."""
+    if den > atol:
+        return num / den
+    return 0.0 if num <= atol else math.inf
 
 
 @dataclass(frozen=True)
@@ -316,23 +400,15 @@ class ProjectionToFrameReport:
     instance: PaulsenInstance
 
 
-def _require_converged(instance: PaulsenInstance) -> PaulsenInstance:
-    if not instance.converged:
-        raise ConvergenceError(
-            f"solver stopped after {instance.iterations} iterations without "
-            f"reaching tolerance; best iterate defect "
-            f"{defects(instance.solution).max():.3e}"
-        )
-    return instance
+def equivalence_chain_frame_to_projection(instance: PaulsenInstance) -> FrameToProjectionReport:
+    """Form Q = Gram(solution) of a solved instance and verify
+    d(Gram F, Q) <= 4 * d(F, solution) + 1e-8 with Q constant-diagonal.
 
-
-def equivalence_chain_frame_to_projection(
-    frame: Frame, cfg: SolverConfig | None = None
-) -> FrameToProjectionReport:
-    """Solve the frame instance, form Q = Gram(solution), and verify
-    d(Gram F, Q) <= 4 * d(F, solution) + 1e-8 with Q constant-diagonal."""
-    p = projection_from_frame(frame)
-    instance = _require_converged(nearest_equal_norm_parseval(frame, cfg))
+    The input frame F must be Parseval (``ValueError`` otherwise) and the
+    instance converged (:class:`ConvergenceError` otherwise).
+    """
+    p = projection_from_frame(instance.input_frame)
+    instance.require_converged()
     q = projection_from_frame(instance.solution)
     q_defect = diagonal_defect(q)
     delta = instance.distance
@@ -341,7 +417,7 @@ def equivalence_chain_frame_to_projection(
         eps=instance.eps,
         paulsen_distance=delta,
         projection_distance=dist,
-        ratio=_ratio(dist, delta),
+        ratio=chain_ratio(dist, delta),
         within_bound=dist <= 4.0 * delta + 1e-8,
         solution_diagonal_defect=q_defect,
         instance=instance,
@@ -358,7 +434,7 @@ def equivalence_chain_projection_to_frame(
         raise ValueError(f"projection diagonal defect {eps:.3e} must be < 1")
     f = frame_from_projection(p)
     extraction_residual = hs_norm(gram(f) - p.matrix)
-    instance = _require_converged(nearest_equal_norm_parseval(f, cfg))
+    instance = nearest_equal_norm_parseval(f, cfg).require_converged()
     q = projection_from_frame(instance.solution)
     lifted = frame_lift(f, q)
     lift_distance = frame_distance(f, lifted)
@@ -369,7 +445,7 @@ def equivalence_chain_projection_to_frame(
         paulsen_distance=instance.distance,
         projection_distance=dist,
         lift_distance=lift_distance,
-        ratio=_ratio(lift_distance, dist),
+        ratio=chain_ratio(lift_distance, dist),
         within_bound=lift_distance <= 2.0 * dist + 1e-8,
         instance=instance,
     )

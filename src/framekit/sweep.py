@@ -22,9 +22,9 @@ from .paulsen import (
     equivalence_chain_projection_to_frame,
     nearest_equal_norm_parseval,
     perturb,
+    random_equal_norm_parseval,
 )
 from .subspaces import projection_from_frame
-from .verify import random_equal_norm_parseval
 
 __all__ = ["ExperimentConfig", "CSV_COLUMNS", "run_trial", "worker_count", "run_sweep"]
 
@@ -144,7 +144,7 @@ def run_trial(m: int, n: int, eps: float, trial_seed: int, tolerance: float, max
     inst = nearest_equal_norm_parseval(f, cfg)
     fp = canonical_parseval(f)
     try:
-        chain4 = equivalence_chain_frame_to_projection(fp, cfg).ratio
+        chain4 = equivalence_chain_frame_to_projection(nearest_equal_norm_parseval(fp, cfg)).ratio
     except ConvergenceError:
         chain4 = None
     try:

@@ -15,6 +15,7 @@ from ._seeding import derive_seed
 from .admissibility import (
     AdmissibleSequence,
     SpectrumSpec,
+    feasible_norm_targets,
     is_parseval_admissible,
     is_S_admissible,
     nearest_prescribed_norm_parseval,
@@ -35,10 +36,13 @@ from .paulsen import (
     equivalence_chain_frame_to_projection,
     equivalence_chain_projection_to_frame,
     haar_unitary,
-    harmonic_frame,
+    near_parseval_frame,
     nearest_equal_norm_parseval,
+    parseval_pair,
     perturb,
+    random_equal_norm_parseval,
     random_parseval,
+    random_projection_pair,
 )
 from .subspaces import (
     Projection,
@@ -52,10 +56,6 @@ from .subspaces import (
 
 __all__ = [
     "PropertyCheck",
-    "random_equal_norm_parseval",
-    "random_projection_pair",
-    "parseval_pair",
-    "near_parseval_frame",
     "suite_geometry",
     "suite_equivalence",
     "suite_naimark",
@@ -76,82 +76,6 @@ class PropertyCheck:
 
 def _check(name: str, trials: int, worst: float, limit: float) -> PropertyCheck:
     return PropertyCheck(name, trials, float(worst), limit, worst <= limit)
-
-
-# ---------------------------------------------------------------------------
-# instance generation (shared with the test suite)
-
-
-def random_equal_norm_parseval(m: int, n: int, seed) -> Frame:
-    """Haar-rotated harmonic frame: a random equal-norm Parseval frame."""
-    u = haar_unitary(m, np.random.default_rng(seed))
-    return Frame(harmonic_frame(m, n).vectors @ u.T)
-
-
-def _wiggle(frame: Frame, amplitude: float, seed) -> Frame:
-    rng = np.random.default_rng(seed)
-    n, m = frame.vectors.shape
-    d = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-    d *= amplitude * hs_norm(frame.vectors) / hs_norm(d)
-    return Frame(frame.vectors + d)
-
-
-def random_projection_pair(seed, max_rank: int = 8, max_size: int = 32):
-    """Random equal-rank projection pair; half the draws are nearby pairs."""
-    rng = np.random.default_rng(seed)
-    m = int(rng.integers(1, max_rank + 1))
-    n = int(rng.integers(m, max_size + 1))
-    p_frame = random_parseval(m, n, derive_seed(seed, "p"))
-    p = projection_from_frame(p_frame)
-    if rng.integers(2):
-        eps = float(rng.uniform(0.01, 0.3))
-        q = projection_from_frame(canonical_parseval(_wiggle(p_frame, eps, derive_seed(seed, "q"))))
-    else:
-        q = projection_from_frame(random_parseval(m, n, derive_seed(seed, "q")))
-    return p, q
-
-
-def parseval_pair(seed, target_delta: float, m: int, n: int):
-    """Pair of Parseval frames with d(F, G) steered into [delta/4, 4 delta]."""
-    f = random_parseval(m, n, derive_seed(seed, "f"))
-    t = math.sqrt(target_delta / (2.0 * m))
-    g = canonical_parseval(_wiggle(f, t, derive_seed(seed, "g")))
-    for _ in range(6):
-        delta = frame_distance(f, g)
-        if 0.25 * target_delta <= delta <= 4.0 * target_delta:
-            break
-        t *= math.sqrt(target_delta / delta)
-        g = canonical_parseval(_wiggle(f, t, derive_seed(seed, "g")))
-    return f, g
-
-
-def near_parseval_frame(eps: float, m: int, n: int, seed) -> Frame:
-    """Frame with parseval_eps = eps exactly and equal-norm defect <= eps.
-
-    Applies an invertible Hermitian map with extreme eigenvalues
-    sqrt(1 +/- eps) to a random equal-norm Parseval frame, so the
-    frame-operator spectrum attains both ends of [1 - eps, 1 + eps].
-    """
-    rng = np.random.default_rng(seed)
-    base = random_equal_norm_parseval(m, n, derive_seed(seed, "base"))
-    mu = np.sqrt(rng.uniform(1.0 - eps, 1.0 + eps, size=m))
-    mu[0] = math.sqrt(1.0 + eps)
-    if m > 1:
-        mu[-1] = math.sqrt(1.0 - eps)
-    w = haar_unitary(m, rng)
-    x = (w * mu) @ w.conj().T
-    return Frame(base.vectors @ x.T)
-
-
-def feasible_norm_targets(m: int, n: int, rng: np.random.Generator) -> AdmissibleSequence:
-    """Random Parseval-admissible norm sequence (squares sum to m, all < 1)."""
-    a2 = rng.uniform(0.2, 1.0, size=n)
-    a2 *= m / np.sum(a2)
-    top = float(np.max(a2))
-    if top > 0.99:
-        lam = (0.99 - m / n) / (top - m / n)
-        a2 = lam * a2 + (1.0 - lam) * (m / n)
-    return AdmissibleSequence(np.sqrt(a2), m)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +238,7 @@ def suite_equivalence(seed: int = 0, trials: int = 100) -> list[PropertyCheck]:
                 derive_seed(seed, "eqp", t),
             )
         )
-        r4 = equivalence_chain_frame_to_projection(f, cfg)
+        r4 = equivalence_chain_frame_to_projection(nearest_equal_norm_parseval(f, cfg))
         worst4 = max(worst4, r4.projection_distance - 4.0 * r4.paulsen_distance)
         worst_diag = max(worst_diag, r4.solution_diagonal_defect)
         r2 = equivalence_chain_projection_to_frame(projection_from_frame(f), cfg)

@@ -19,6 +19,7 @@ from framekit import (
     canonical_parseval,
     chordal_sq,
     defects,
+    derive_seed,
     equivalence_chain_frame_to_projection,
     equivalence_chain_projection_to_frame,
     frame_distance,
@@ -29,25 +30,22 @@ from framekit import (
     is_S_admissible,
     naimark_complement,
     naimark_reduction_check,
+    near_parseval_frame,
     nearest_equal_norm_parseval,
+    parseval_pair,
     perturb,
     principal_angles,
     proj_distance,
     projection_from_frame,
+    random_equal_norm_parseval,
     random_parseval,
+    random_projection_pair,
     reduce_to_small,
     vector_norms_sq,
     AdmissibleSequence,
     SpectrumSpec,
 )
-from framekit._seeding import derive_seed
 from framekit.serialize import dump_json
-from framekit.verify import (
-    near_parseval_frame,
-    parseval_pair,
-    random_equal_norm_parseval,
-    random_projection_pair,
-)
 
 SEED = 20260401
 
@@ -199,7 +197,7 @@ def test_criterion_07_equivalence_chains():
                 derive_seed(SEED, "chainp", t),
             )
         )
-        r4 = equivalence_chain_frame_to_projection(f, cfg)
+        r4 = equivalence_chain_frame_to_projection(nearest_equal_norm_parseval(f, cfg))
         assert r4.within_bound
         worst4 = max(worst4, r4.projection_distance - 4.0 * r4.paulsen_distance)
         r2 = equivalence_chain_projection_to_frame(projection_from_frame(f), cfg)

@@ -8,6 +8,7 @@ from framekit import (
     SolverConfig,
     SpectrumSpec,
     defects,
+    feasible_norm_targets,
     harmonic_frame,
     is_parseval_admissible,
     is_S_admissible,
@@ -15,9 +16,9 @@ from framekit import (
     nearest_prescribed_norm_parseval,
     perturb,
     prescribed_norm_defect,
+    random_equal_norm_parseval,
     vector_norms_sq,
 )
-from framekit.verify import feasible_norm_targets, random_equal_norm_parseval
 
 
 class TestSequenceTypes:

@@ -5,8 +5,16 @@ import sys
 import numpy as np
 import pytest
 
-from framekit import harmonic_frame, perturb
-from framekit.serialize import dump_json, frame_from_dict, frame_to_dict
+from framekit import (
+    canonical_parseval,
+    cli,
+    equivalence_chain_frame_to_projection,
+    harmonic_frame,
+    nearest_equal_norm_parseval,
+    paulsen,
+    perturb,
+)
+from framekit.serialize import complex_array_to_lists, dump_json, frame_from_dict, frame_to_dict
 from framekit.sweep import worker_count
 
 
@@ -66,6 +74,16 @@ class TestCheck:
         assert res.returncode == 2
         assert "dim" in res.stderr
 
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    def test_overflowing_frame_exits_2_naming_overflow(self, tmp_path, command):
+        path = tmp_path / "huge.json"
+        vectors = complex_array_to_lists(1e200 * harmonic_frame(3, 7).vectors)
+        dump_json({"dim": 3, "vectors": vectors}, str(path))
+        res = run_cli(command, str(path))
+        assert res.returncode == 2
+        assert "frame operator overflows" in res.stderr
+        assert "Warning" not in res.stderr
+
 
 class TestSolve:
     REPORT_KEYS = [
@@ -96,6 +114,27 @@ class TestSolve:
         assert report["distance"] <= 1e-12
         assert report["iterations"] <= 1
         assert report["ratio_chain4"] is not None
+
+    def test_parseval_frame_solves_once_for_report_and_chain4(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        path = tmp_path / "parseval.json"
+        frame = canonical_parseval(perturb(harmonic_frame(4, 10), 0.05, 3))
+        dump_json(frame_to_dict(frame), str(path))
+        expected = equivalence_chain_frame_to_projection(nearest_equal_norm_parseval(frame)).ratio
+        runs = []
+        solve = paulsen._alternating_solve
+
+        def counting(*args):
+            runs.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(paulsen, "_alternating_solve", counting)
+        assert cli.main(["solve", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        # one run for the report (reused by chain 4) and one for chain 2
+        assert len(runs) == 2
+        assert report["ratio_chain4"] == expected
 
     def test_tiny_scale_frame_converges(self, tmp_path):
         from framekit import Frame

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,10 +21,12 @@ from framekit import (
     herm_eig,
     hs_norm,
     inv_sqrt_psd,
+    near_parseval_frame,
+    parseval_pair,
+    random_equal_norm_parseval,
     random_parseval,
     vector_norms_sq,
 )
-from framekit.verify import near_parseval_frame, parseval_pair, random_equal_norm_parseval
 
 from conftest import complex_gaussian
 
@@ -45,6 +48,13 @@ class TestFrameConstruction:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="NaN"):
             Frame(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+    def test_rejects_vectors_whose_frame_operator_overflows(self):
+        v = 1e200 * harmonic_frame(3, 7).vectors
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="too large: the frame operator overflows"):
+                Frame(v)
 
     def test_vectors_are_immutable(self):
         f = harmonic_frame(2, 3)

@@ -1,0 +1,78 @@
+"""Import layering, read from the source with ``ast``."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "framekit"
+SOURCES = sorted(PACKAGE.glob("*.py"))
+CLIENTS = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+SUITE_API = {"PropertyCheck", "SUITES", "run_suite"}
+
+
+def framekit_imports(path: Path):
+    """Yield ``(module, name)`` for every import from a framekit module in
+    ``path``; ``name`` is None for ``import framekit.x``."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "framekit":
+                    yield alias.name, None
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = ".".join(filter(None, ["framekit", node.module]))
+            if module.split(".")[0] == "framekit":
+                for alias in node.names:
+                    yield module, alias.name
+
+
+def modules_named(module: str, name: str | None) -> set:
+    """The framekit modules one import loads: ``from framekit import cli``
+    loads ``framekit.cli`` as well as ``framekit``."""
+    if name is not None and (PACKAGE / f"{name}.py").is_file():
+        return {module, f"{module}.{name}"}
+    return {module}
+
+
+def test_layout_files_found():
+    assert len(SOURCES) > 10 and len(CLIENTS) > 10
+
+
+def test_no_underscore_name_imported_from_another_module():
+    found = [
+        f"{path.name}: {module}.{name}"
+        for path in SOURCES + CLIENTS
+        for module, name in framekit_imports(path)
+        if name is not None and name.startswith("_")
+    ]
+    assert found == []
+
+
+def test_tests_and_demos_import_no_private_module():
+    found = [
+        f"{path.name}: {loaded}"
+        for path in CLIENTS
+        for module, name in framekit_imports(path)
+        for loaded in modules_named(module, name)
+        if any(part.startswith("_") for part in loaded.split("."))
+    ]
+    assert found == []
+
+
+def test_only_cli_imports_verify_and_only_for_its_suites():
+    importers = {
+        path.name
+        for path in SOURCES
+        for module, name in framekit_imports(path)
+        if "framekit.verify" in modules_named(module, name)
+    }
+    assert importers == {"cli.py"}
+    # Tests and demos get their inputs from paulsen, never from verify.
+    taken = [
+        f"{path.name}: {name}"
+        for path in CLIENTS
+        for module, name in framekit_imports(path)
+        if module == "framekit.verify" and name not in SUITE_API and not name.startswith("suite_")
+    ]
+    assert taken == []

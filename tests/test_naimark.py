@@ -11,11 +11,11 @@ from framekit import (
     naimark_complement,
     naimark_reduction_check,
     perturb,
+    random_equal_norm_parseval,
     random_parseval,
     reduce_to_small,
     vector_norms_sq,
 )
-from framekit.verify import random_equal_norm_parseval
 
 
 class TestComplement:

@@ -20,10 +20,10 @@ from framekit import (
     nearest_equal_norm_parseval,
     perturb,
     projection_from_frame,
+    random_equal_norm_parseval,
     random_parseval,
     vector_norms_sq,
 )
-from framekit.verify import random_equal_norm_parseval
 
 
 class TestHarmonicFrame:
@@ -203,7 +203,7 @@ class TestNearestEqualNormParseval:
 class TestEquivalenceChains:
     def test_frame_to_projection_on_solved_input(self):
         f = harmonic_frame(2, 6)
-        rep = equivalence_chain_frame_to_projection(f)
+        rep = equivalence_chain_frame_to_projection(nearest_equal_norm_parseval(f))
         assert rep.paulsen_distance <= 1e-12
         assert rep.projection_distance <= 1e-10
         assert rep.within_bound
@@ -213,7 +213,7 @@ class TestEquivalenceChains:
             f = canonical_parseval(
                 perturb(random_equal_norm_parseval(3, 8, seed), 0.08, seed)
             )
-            rep = equivalence_chain_frame_to_projection(f)
+            rep = equivalence_chain_frame_to_projection(nearest_equal_norm_parseval(f))
             assert rep.within_bound
             assert rep.solution_diagonal_defect <= 1e-8
             assert rep.ratio <= 4.0 + 1e-6
@@ -237,9 +237,18 @@ class TestEquivalenceChains:
     def test_rejects_non_parseval_frame(self):
         f = Frame(1.1 * harmonic_frame(2, 6).vectors)
         with pytest.raises(ValueError, match="not Parseval"):
-            equivalence_chain_frame_to_projection(f)
+            equivalence_chain_frame_to_projection(nearest_equal_norm_parseval(f))
+
+    def test_checks_parseval_before_convergence(self):
+        f = Frame(1.1 * perturb(harmonic_frame(2, 5), 0.2, 3).vectors)
+        inst = nearest_equal_norm_parseval(f, SolverConfig(max_iterations=1))
+        assert not inst.converged
+        with pytest.raises(ValueError, match="not Parseval"):
+            equivalence_chain_frame_to_projection(inst)
 
     def test_propagates_non_convergence(self):
         f = canonical_parseval(perturb(harmonic_frame(2, 5), 0.2, 3))
         with pytest.raises(ConvergenceError):
-            equivalence_chain_frame_to_projection(f, SolverConfig(max_iterations=1))
+            equivalence_chain_frame_to_projection(
+                nearest_equal_norm_parseval(f, SolverConfig(max_iterations=1))
+            )

@@ -21,10 +21,11 @@ from framekit import (
     principal_angles,
     proj_distance,
     projection_from_frame,
+    random_equal_norm_parseval,
     random_parseval,
+    random_projection_pair,
     vector_norms_sq,
 )
-from framekit.verify import random_equal_norm_parseval, random_projection_pair
 
 
 def coordinate_projection(n, coords):
