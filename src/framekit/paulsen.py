@@ -5,9 +5,16 @@ projection-side problems.
 The solver alternates the two exact nearest-point maps available in closed
 form: replace the frame by its canonical Parseval frame (nearest Parseval),
 then rescale every vector to the target norm (nearest point on the norm
-constraint set).  Iteration stops when both defects fall below the
-configured tolerance; non-convergence is reported explicitly with the best
-iterate, never silently.
+constraint set).  That map converges linearly, so each step is Anderson
+accelerated: the new image is mixed with the images of the last few
+iterates, the mix is rescaled onto the norm set, and it is kept only when
+its combined defect does not exceed the current iterate's; otherwise the
+plain image is taken and the mixing history is cleared.  Iteration stops
+when both defects fall below the configured tolerance (converged), when the
+combined defect rises between plain steps (monotone break), or when a step
+no longer moves the frame beyond rounding (stagnation at a fixed point that
+is not equal-norm Parseval).  Non-convergence is reported explicitly with
+the best iterate, never silently.
 """
 
 import math
@@ -61,6 +68,18 @@ __all__ = [
 MONOTONE_SLACK = 1e-12
 
 ZERO_VECTOR_NORM = 1e-14
+
+# Number of earlier iterates whose images the Anderson step mixes.
+ANDERSON_DEPTH = 5
+
+# A step ||G(v) - v||_F at or below STAGNATION_RTOL * ||v||_F is rounding.
+# Near an equal-norm Parseval frame the step stays above a fixed fraction of
+# the combined defect (at least 0.057 of it in measured runs down to
+# tolerance 1e-14), so a rounding-level step that is also below
+# STAGNATION_DEFECT_RATIO times the defect marks a fixed point of the map
+# that no iteration will leave.
+STAGNATION_RTOL = 1e-13
+STAGNATION_DEFECT_RATIO = 1e-3
 
 
 class ConvergenceError(RuntimeError):
@@ -297,31 +316,85 @@ def near_parseval_frame(eps: float, m: int, n: int, seed) -> Frame:
 # solver
 
 
+def _spectrum(v: np.ndarray, targets_sq: np.ndarray):
+    """Eigendecomposition of the frame operator of ``v`` and its two defects:
+    (evals, evecs, parseval_eps, norm_eps)."""
+    s = v.T @ v.conj()
+    s = 0.5 * (s + s.conj().T)
+    evals, evecs = np.linalg.eigh(s)
+    parseval_eps = max(1.0 - float(evals[0]), float(evals[-1]) - 1.0)
+    norms_sq = (np.abs(v) ** 2).sum(axis=1)
+    norm_eps = float(np.abs(norms_sq / targets_sq - 1.0).max())
+    return evals, evecs, parseval_eps, norm_eps
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    return np.sqrt((np.abs(v) ** 2).sum(axis=1))
+
+
+def _anderson_candidate(g, f, df, dg, gram_df, targets):
+    """The image ``g`` = G(v) minus the image differences ``dg``, weighted so
+    that the same combination of the residual differences ``df`` best cancels
+    the residual ``f`` = G(v) - v, rescaled onto the norm set.  None when the
+    weights cannot be solved for or a mixed vector vanishes or overflows."""
+    try:
+        # Conjugating the vector, not the block, saves a (k, N*M) temporary.
+        gamma = np.linalg.solve(gram_df, (df @ f.conj()).conj())
+    except np.linalg.LinAlgError:
+        return None
+    cand = (g.ravel() - gamma @ dg).reshape(g.shape)
+    norms = _row_norms(cand)
+    if not np.all((norms >= ZERO_VECTOR_NORM) & np.isfinite(norms)):
+        return None
+    return cand * (targets / norms)[:, None]
+
+
 def _alternating_solve(v0: np.ndarray, targets_sq: np.ndarray, cfg: SolverConfig):
     """Core loop on the raw (N, M) vector array.
 
-    Returns (vectors, iterations, converged, degenerate).  The combined
-    defect is required to be non-increasing across successive full iterates
-    (up to MONOTONE_SLACK); a violation demotes the run to non-converged
-    with the best iterate kept.
+    Returns (vectors, iterations, converged, degenerate).
+
+    Each iteration applies the alternating map G(v) = rescale(v S(v)^{-1/2})
+    and then mixes G(v) with the images of up to ``ANDERSON_DEPTH`` earlier
+    iterates (Anderson acceleration, Walker & Ni 2011): the mixing weights
+    minimise the norm of the combined residual G(v) - v over the stored
+    residual differences, solved through their small Gram matrix.  The mixed
+    candidate is rescaled onto the norm set and accepted only when its
+    combined defect does not exceed the current iterate's; otherwise the plain
+    image G(v) is taken (one more ``eigh``) and the history is cleared.
+
+    The loop stops in one of three ways besides the iteration cap and the
+    span floor:
+
+    * converged: both defects at or below the tolerance;
+    * monotone break: the combined defect rose by more than MONOTONE_SLACK
+      between successive full iterates; the best iterate is kept;
+    * stagnation: ||G(v) - v||_F is at rounding level relative to ||v||_F
+      while the tolerance is unmet, so v is a fixed point of G that is not
+      equal-norm Parseval.
+
+    A vector that G maps to zero restarts in a random unit direction, seeded
+    from the input's bytes, and sets ``degenerate``.
     """
-    v = np.array(v0, dtype=np.complex128)
+    v = start = np.array(v0, dtype=np.complex128)
     targets = np.sqrt(targets_sq)
+    # Ring buffers of residual and image differences, and the Gram matrix
+    # of the residual differences, updated one row and column per step.
+    df = np.empty((ANDERSON_DEPTH, v.size), dtype=np.complex128)
+    dg = np.empty_like(df)
+    gram_df = np.zeros((ANDERSON_DEPTH, ANDERSON_DEPTH), dtype=np.complex128)
+    stored = head = 0
+    f_prev = g_prev = None
+    rng = None
     best, best_defect = v, np.inf
     prev_combined = np.inf
     degenerate = False
     converged = False
     iterations = 0
+    evals, evecs, parseval_eps, norm_eps = _spectrum(v, targets_sq)
     for it in range(cfg.max_iterations + 1):
-        s = v.T @ v.conj()
-        s = 0.5 * (s + s.conj().T)
-        evals, evecs = np.linalg.eigh(s)
-        parseval_eps = max(1.0 - float(evals[0]), float(evals[-1]) - 1.0)
-        norms_sq = (np.abs(v) ** 2).sum(axis=1)
-        norm_eps = float(np.abs(norms_sq / targets_sq - 1.0).max())
         combined = max(parseval_eps, norm_eps)
-        # No copy: v is rebound below, and the dead-vector write touches only
-        # the fresh array that v @ r.T returns.
+        # No copy: every array v is bound to is fresh and never written.
         if combined < best_defect:
             best, best_defect = v, combined
         iterations = it
@@ -338,16 +411,52 @@ def _alternating_solve(v0: np.ndarray, targets_sq: np.ndarray, cfg: SolverConfig
         prev_combined = combined
         if it == cfg.max_iterations or float(evals[0]) <= SPAN_EIG_FLOOR * float(evals[-1]):
             break
-        r = (evecs * evals**-0.5) @ evecs.conj().T
-        v = v @ r.T
-        norms = np.sqrt((np.abs(v) ** 2).sum(axis=1))
+        g = v @ ((evecs * evals**-0.5) @ evecs.conj().T).T
+        norms = _row_norms(g)
         dead = norms < ZERO_VECTOR_NORM
         if dead.any():
             degenerate = True
-            v[dead, :] = 0.0
-            v[dead, 0] = 1.0
+            if rng is None:
+                rng = np.random.default_rng(derive_seed("restart", start.tobytes()))
+            shape = (int(dead.sum()), g.shape[1])
+            z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            g[dead] = z / _row_norms(z)[:, None]
             norms = np.where(dead, 1.0, norms)
-        v = v * (targets / norms)[:, None]
+            # A restart is a jump, not a step of G: mix nothing across it.
+            stored = head = 0
+            f_prev = None
+        g = g * (targets / norms)[:, None]
+        f = (g - v).ravel()
+        # trace S(v) = ||v||_F^2
+        step = math.sqrt(np.vdot(f, f).real / float(evals.sum()))
+        if step <= STAGNATION_RTOL and step <= STAGNATION_DEFECT_RATIO * combined:
+            break
+        if f_prev is not None:
+            df[head] = f - f_prev
+            dg[head] = (g - g_prev).ravel()
+            stored = min(stored + 1, ANDERSON_DEPTH)
+            row = (df[:stored] @ df[head].conj()).conj()
+            gram_df[:stored, head] = row
+            gram_df[head, :stored] = row.conj()
+            head = (head + 1) % ANDERSON_DEPTH
+        f_prev, g_prev = f, g
+        if stored:
+            cand = _anderson_candidate(
+                g, f, df[:stored], dg[:stored], gram_df[:stored, :stored], targets
+            )
+            if cand is not None:
+                spectrum = _spectrum(cand, targets_sq)
+                cand_evals, _, cand_parseval, cand_norm = spectrum
+                if (
+                    max(cand_parseval, cand_norm) <= combined
+                    and float(cand_evals[0]) > SPAN_EIG_FLOOR * float(cand_evals[-1])
+                ):
+                    v = cand
+                    evals, evecs, parseval_eps, norm_eps = spectrum
+                    continue
+            stored = head = 0
+        v = g
+        evals, evecs, parseval_eps, norm_eps = _spectrum(v, targets_sq)
     return best, iterations, converged, degenerate
 
 

@@ -145,6 +145,18 @@ class TestSolve:
         assert res.returncode == 0, res.stderr
         assert json.loads(res.stdout)["converged"] is True
 
+    def test_stationary_frame_exits_3_at_once(self, tmp_path):
+        from framekit import Frame
+
+        path = tmp_path / "clumped.json"
+        v = np.sqrt(2 / 3) * np.array([[1, 0], [0, 1], [1, 0]], dtype=complex)
+        dump_json(frame_to_dict(Frame(v)), str(path))
+        res = run_cli("solve", str(path))
+        assert res.returncode == 3
+        report = json.loads(res.stdout)
+        assert report["converged"] is False
+        assert report["iterations"] <= 10
+
     def test_non_convergence_exits_3(self, perturbed_file):
         res = run_cli("solve", perturbed_file, "--max-iter", "1", "--tol", "1e-14")
         assert res.returncode == 3

@@ -155,8 +155,57 @@ class TestNearestEqualNormParseval:
         v = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], dtype=complex)
         inst = nearest_equal_norm_parseval(Frame(v))
         assert inst.degenerate
-        if inst.converged:
-            assert defects(inst.solution).max() <= 1e-10
+        assert inst.converged
+        d = defects(inst.solution)
+        assert d.parseval_eps <= 1e-10 and d.equal_norm_eps <= 1e-10
+
+    def test_degenerate_restart_is_deterministic(self):
+        v = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        a = nearest_equal_norm_parseval(Frame(v))
+        b = nearest_equal_norm_parseval(Frame(v))
+        assert np.array_equal(a.solution.vectors, b.solution.vectors)
+
+    @pytest.mark.parametrize("rotate", [False, True])
+    def test_stationary_clumped_frame_stops_at_once(self, rotate, rng):
+        # every vector is an eigenvector of S, so the alternating map fixes
+        # the frame while its Parseval defect stays at 1/3
+        v = math.sqrt(2 / 3) * np.array([[1, 0], [0, 1], [1, 0]], dtype=complex)
+        if rotate:
+            v = v @ haar_unitary(2, rng).T
+        inst = nearest_equal_norm_parseval(Frame(v))
+        assert not inst.converged
+        assert inst.iterations <= 10
+        assert abs(defects(inst.solution).parseval_eps - 1 / 3) <= 1e-12
+
+    def test_accelerated_iteration_count(self):
+        # the plain alternating map needs 274 iterations on this instance
+        f = perturb(random_equal_norm_parseval(20, 60, 1), 0.05, 2)
+        inst = nearest_equal_norm_parseval(f)
+        assert inst.converged
+        assert inst.iterations <= 80
+
+    def test_at_most_one_extra_eigh_per_iteration(self, eigh_calls):
+        # Besides one decomposition per iteration, a solve makes one for its
+        # start and one for the solution Frame, plus one for the plain image
+        # whenever a mixed candidate fails the defect guard.  Every candidate
+        # passes on the first input; one fails on the second.
+        f = perturb(random_equal_norm_parseval(6, 18, 4), 0.1, 4)
+        eigh_calls.clear()
+        inst = nearest_equal_norm_parseval(f)
+        assert inst.converged
+        assert len(eigh_calls) == inst.iterations + 2
+        f = perturb(random_equal_norm_parseval(4, 5, 1121), 0.05, 5121)
+        eigh_calls.clear()
+        inst = nearest_equal_norm_parseval(f)
+        assert inst.converged
+        assert inst.iterations + 2 < len(eigh_calls) <= 2 * inst.iterations + 2
+
+    def test_tight_tolerance_still_converges(self):
+        # the stagnation stop must not fire on steps that still make progress
+        for seed in range(10):
+            f = perturb(random_equal_norm_parseval(5, 13, seed), 0.1, seed)
+            inst = nearest_equal_norm_parseval(f, SolverConfig(tolerance=1e-14))
+            assert inst.converged
 
     def test_non_convergence_reports_best_iterate(self):
         f = perturb(harmonic_frame(2, 5), 0.2, 1)
