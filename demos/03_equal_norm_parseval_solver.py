@@ -16,7 +16,6 @@ from framekit import (
     harmonic_frame,
     nearest_equal_norm_parseval,
     perturb,
-    projection_from_frame,
 )
 
 print("=== one instance, start to finish ===")
@@ -44,15 +43,15 @@ print(" not an assertion)")
 print()
 print("=== frame instance -> projection instance, factor 4 ===")
 fp = canonical_parseval(f)
-rep4 = equivalence_chain_frame_to_projection(nearest_equal_norm_parseval(fp))
+inst_p = nearest_equal_norm_parseval(fp)
+rep4 = equivalence_chain_frame_to_projection(inst_p)
 print(f"frame distance:      {rep4.paulsen_distance:.6e}")
 print(f"projection distance: {rep4.projection_distance:.6e}")
 print(f"ratio: {rep4.ratio:.4f} (bound 4), within_bound={rep4.within_bound}")
 
 print()
 print("=== projection instance -> frame instance, factor 2 ===")
-p = projection_from_frame(fp)
-rep2 = equivalence_chain_projection_to_frame(p)
+rep2 = equivalence_chain_projection_to_frame(inst_p)
 print(f"projection distance: {rep2.projection_distance:.6e}")
 print(f"lifted frame distance: {rep2.lift_distance:.6e}")
 print(f"ratio: {rep2.ratio:.4f} (bound 2), within_bound={rep2.within_bound}")

@@ -25,7 +25,7 @@ from .serialize import (
     frame_to_dict,
     load_json,
 )
-from .subspaces import PARSEVAL_ATOL, projection_from_frame
+from .subspaces import PARSEVAL_ATOL
 from .sweep import ExperimentConfig, run_sweep
 from .verify import run_suite
 
@@ -76,13 +76,8 @@ def _instance_report(frame, cfg: SolverConfig) -> tuple[dict, bool]:
     inst = nearest_equal_norm_parseval(frame, cfg)
     chain4 = chain2 = None
     if inst.converged and defects(frame).parseval_eps <= PARSEVAL_ATOL:
-        try:
-            chain4 = equivalence_chain_frame_to_projection(inst).ratio
-            chain2 = equivalence_chain_projection_to_frame(
-                projection_from_frame(frame), cfg
-            ).ratio
-        except ConvergenceError:
-            chain4 = chain2 = None
+        chain4 = equivalence_chain_frame_to_projection(inst).ratio
+        chain2 = equivalence_chain_projection_to_frame(inst).ratio
     report = {
         "M": frame.dim,
         "N": frame.n_vectors,

@@ -11,9 +11,10 @@ iterates, the mix is rescaled onto the norm set, and it is kept only when
 its combined defect does not exceed the current iterate's; otherwise the
 plain image is taken and the mixing history is cleared.  Iteration stops
 when both defects fall below the configured tolerance (converged), when the
-combined defect rises between plain steps (monotone break), or when a step
+combined defect rises between plain steps (monotone break), when a step
 no longer moves the frame beyond rounding (stagnation at a fixed point that
-is not equal-norm Parseval).  Non-convergence is reported explicitly with
+is not equal-norm Parseval), or when the best defect has stopped improving
+(stall at the rounding floor).  Non-convergence is reported explicitly with
 the best iterate, never silently.
 """
 
@@ -35,7 +36,6 @@ from .frames import (
     hs_norm,
 )
 from .subspaces import (
-    Projection,
     diagonal_defect,
     frame_from_projection,
     frame_lift,
@@ -80,6 +80,20 @@ ANDERSON_DEPTH = 5
 # that no iteration will leave.
 STAGNATION_RTOL = 1e-13
 STAGNATION_DEFECT_RATIO = 1e-3
+
+# A solve whose best combined defect has not improved by more than
+# STALL_GAIN (a few rounding units of the order-1 quantities the defects
+# compare) for STALL_ITERATIONS iterations has reached the rounding floor of
+# its defects: it stops unconverged instead of running to ``max_iterations``
+# when the tolerance lies below that floor.
+STALL_ITERATIONS = 20
+STALL_GAIN = 4.0 * float(np.finfo(np.float64).eps)
+
+# perturb stops bisecting its amplitude once the bracket [lo, hi] satisfies
+# hi - lo <= PERTURB_BRACKET_RTOL * hi, and gives up (keeping the largest
+# amplitude found within the cap) after PERTURB_MAX_ATTEMPTS candidates.
+PERTURB_BRACKET_RTOL = 2.0**-12
+PERTURB_MAX_ATTEMPTS = 60
 
 
 class ConvergenceError(RuntimeError):
@@ -209,9 +223,17 @@ def perturb(frame: Frame, eps: float, seed) -> Frame:
     """Random perturbation of an equal-norm Parseval frame with both defects
     capped at ``eps``.
 
-    A fixed Gaussian direction is drawn from ``seed`` and its amplitude is
-    bisected (40 steps) to the largest value keeping both defects at or
-    below the cap, so outputs sit close to the cap.
+    A fixed Gaussian direction, scaled to the frame's Hilbert-Schmidt norm,
+    is drawn from ``seed``.  Its amplitude t is bracketed by doubling or
+    halving from t = eps and then bisected until the bracket is within
+    ``PERTURB_BRACKET_RTOL`` of its upper end, keeping the largest amplitude
+    whose defects stay at or below the cap, so outputs sit within about
+    that fraction of the cap.  Each candidate amplitude is scored from the
+    eigenvalues of its M x M frame operator and its row norms, with the
+    spanning floor and defect definitions of :class:`Frame` and
+    :func:`defects`; only the returned frame is constructed, and its own
+    defects are checked against the cap, stepping the amplitude back by the
+    bracket tolerance in the rare case that rounding puts it over.
     """
     d = defects(frame)
     if d.max() > 1e-9:
@@ -229,32 +251,36 @@ def perturb(frame: Frame, eps: float, seed) -> Frame:
     n, m = frame.vectors.shape
     direction = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
     direction *= hs_norm(frame.vectors) / hs_norm(direction)
+    target = m / n
 
-    def attempt(t: float):
-        try:
-            cand = Frame(frame.vectors + t * direction)
-        except RankDeficientError:
-            return None
-        return cand if defects(cand).max() <= eps else None
+    def within_cap(t: float) -> bool:
+        v = frame.vectors + t * direction
+        s = v.T @ v.conj()
+        evals = np.linalg.eigvalsh(0.5 * (s + s.conj().T))
+        if float(evals[0]) <= SPAN_EIG_FLOOR * float(evals[-1]):
+            return False
+        parseval_eps = max(1.0 - float(evals[0]), float(evals[-1]) - 1.0)
+        norms_sq = np.sum(np.abs(v) ** 2, axis=1)
+        return max(parseval_eps, float(np.max(np.abs(norms_sq / target - 1.0)))) <= eps
 
-    lo, frame_lo = 0.0, frame
-    hi = 1.0
-    for _ in range(40):
-        cand = attempt(hi)
-        if cand is None:
-            break
-        lo, frame_lo = hi, cand
-        hi *= 2.0
-    else:
-        return frame_lo
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        cand = attempt(mid)
-        if cand is None:
-            hi = mid
+    # t = 0 is the input itself, within the cap by the checks above; hi is
+    # the smallest amplitude seen to exceed it.
+    lo, hi, t = 0.0, math.inf, eps
+    for _ in range(PERTURB_MAX_ATTEMPTS):
+        if within_cap(t):
+            lo = t
         else:
-            lo, frame_lo = mid, cand
-    return frame_lo
+            hi = t
+        if hi < math.inf and hi - lo <= PERTURB_BRACKET_RTOL * hi:
+            break
+        t = 2.0 * lo if math.isinf(hi) else 0.5 * (lo + hi)
+    while True:
+        out = Frame(frame.vectors + lo * direction)
+        if defects(out).max() <= eps:
+            return out
+        # eigvalsh and the Frame's eigh can round an extreme eigenvalue to
+        # either side of the cap when lo sits within rounding of it.
+        lo = max(0.0, lo - PERTURB_BRACKET_RTOL * hi)
 
 
 def _wiggle(frame: Frame, amplitude: float, seed) -> Frame:
@@ -363,7 +389,7 @@ def _alternating_solve(v0: np.ndarray, targets_sq: np.ndarray, cfg: SolverConfig
     combined defect does not exceed the current iterate's; otherwise the plain
     image G(v) is taken (one more ``eigh``) and the history is cleared.
 
-    The loop stops in one of three ways besides the iteration cap and the
+    The loop stops in one of four ways besides the iteration cap and the
     span floor:
 
     * converged: both defects at or below the tolerance;
@@ -371,7 +397,10 @@ def _alternating_solve(v0: np.ndarray, targets_sq: np.ndarray, cfg: SolverConfig
       between successive full iterates; the best iterate is kept;
     * stagnation: ||G(v) - v||_F is at rounding level relative to ||v||_F
       while the tolerance is unmet, so v is a fixed point of G that is not
-      equal-norm Parseval.
+      equal-norm Parseval;
+    * stall: the best combined defect has not improved by more than
+      ``STALL_GAIN`` for ``STALL_ITERATIONS`` iterations, as happens once
+      the defects sit at rounding level above a tolerance below that level.
 
     A vector that G maps to zero restarts in a random unit direction, seeded
     from the input's bytes, and sets ``degenerate``.
@@ -386,7 +415,7 @@ def _alternating_solve(v0: np.ndarray, targets_sq: np.ndarray, cfg: SolverConfig
     stored = head = 0
     f_prev = g_prev = None
     rng = None
-    best, best_defect = v, np.inf
+    best, best_defect, gain_it = v, np.inf, 0
     prev_combined = np.inf
     degenerate = False
     converged = False
@@ -396,11 +425,15 @@ def _alternating_solve(v0: np.ndarray, targets_sq: np.ndarray, cfg: SolverConfig
         combined = max(parseval_eps, norm_eps)
         # No copy: every array v is bound to is fresh and never written.
         if combined < best_defect:
+            if combined < best_defect - STALL_GAIN:
+                gain_it = it
             best, best_defect = v, combined
         iterations = it
         if parseval_eps <= cfg.tolerance and norm_eps <= cfg.tolerance:
             best = v
             converged = True
+            break
+        if it - gain_it >= STALL_ITERATIONS:
             break
         # Monotonicity is enforced between successive full iterates only.
         # The input may sit on one constraint set with its whole defect in
@@ -533,17 +566,25 @@ def equivalence_chain_frame_to_projection(instance: PaulsenInstance) -> FrameToP
     )
 
 
-def equivalence_chain_projection_to_frame(
-    p: Projection, cfg: SolverConfig | None = None
-) -> ProjectionToFrameReport:
-    """Extract the Parseval frame realizing P, solve it, and lift the solved
-    Gram back, verifying d(F, lifted) <= 2 * d(P, Q) + 1e-8."""
+def equivalence_chain_projection_to_frame(instance: PaulsenInstance) -> ProjectionToFrameReport:
+    """Take P = Gram F of a solved instance's Parseval input F, extract the
+    Parseval frame realizing P, and lift Q = Gram(solution) back to it,
+    verifying d(extracted, lifted) <= 2 * d(P, Q) + 1e-8.
+
+    The extracted frame equals F up to a unitary change of basis, and the
+    solver is unitarily equivariant, so the instance's solve of F stands in
+    for a solve of the extracted frame.  F must be Parseval (``ValueError``
+    otherwise) and the instance converged (:class:`ConvergenceError`
+    otherwise).  To start from a projection P, solve
+    ``frame_from_projection(P)``.
+    """
+    p = projection_from_frame(instance.input_frame)
+    instance.require_converged()
     eps = diagonal_defect(p)
     if eps >= 1.0:
         raise ValueError(f"projection diagonal defect {eps:.3e} must be < 1")
     f = frame_from_projection(p)
     extraction_residual = hs_norm(gram(f) - p.matrix)
-    instance = nearest_equal_norm_parseval(f, cfg).require_converged()
     q = projection_from_frame(instance.solution)
     lifted = frame_lift(f, q)
     lift_distance = frame_distance(f, lifted)

@@ -9,11 +9,14 @@ block after the rows reports the worst observed distance/(eps*M) per cell.
 """
 
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
+import numpy as np
+
 from ._seeding import derive_seed
-from .frames import canonical_parseval
+from .frames import RankDeficientError, canonical_parseval
 from .naimark import naimark_reduction_check, reduce_to_small
 from .paulsen import (
     ConvergenceError,
@@ -24,7 +27,6 @@ from .paulsen import (
     perturb,
     random_equal_norm_parseval,
 )
-from .subspaces import projection_from_frame
 
 __all__ = ["ExperimentConfig", "CSV_COLUMNS", "run_trial", "worker_count", "run_sweep"]
 
@@ -43,6 +45,8 @@ CSV_COLUMNS = [
     "chain8",
     "naimark_branch",
 ]
+# Columns filled from a trial's result; a failed trial leaves them empty.
+_RESULT_COLUMNS = CSV_COLUMNS[4:]
 
 _CONFIG_KEYS = {
     "M_range",
@@ -137,20 +141,39 @@ def _float_list(v, name: str) -> tuple[float, ...]:
 
 def run_trial(m: int, n: int, eps: float, trial_seed: int, tolerance: float, max_iterations: int) -> dict:
     """One seeded instance: perturb a random equal-norm Parseval frame, solve,
-    and evaluate the three chain ratios on the Parseval-reduced input."""
+    and evaluate the three chain ratios on the Parseval-reduced input.
+
+    A trial that fails numerically (a rank-deficient frame, a LAPACK or
+    arithmetic error) keeps its cell and seed with empty result fields and
+    names the error on stderr, so one bad trial does not abort a sweep.
+    """
+    row = {"M": m, "N": n, "eps": eps, "seed": trial_seed}
+    try:
+        row.update(_trial_results(m, n, eps, trial_seed, tolerance, max_iterations))
+    except (RankDeficientError, np.linalg.LinAlgError, ArithmeticError) as err:
+        print(
+            f"trial M={m} N={n} eps={_fmt(eps)} seed={trial_seed} failed: "
+            f"{type(err).__name__}: {err}",
+            file=sys.stderr,
+        )
+        row.update(dict.fromkeys(_RESULT_COLUMNS))
+    return row
+
+
+def _trial_results(m, n, eps, trial_seed, tolerance, max_iterations) -> dict:
     cfg = SolverConfig(tolerance=tolerance, max_iterations=max_iterations)
     base = random_equal_norm_parseval(m, n, derive_seed(trial_seed, "base"))
     f = perturb(base, eps, derive_seed(trial_seed, "perturb"))
     inst = nearest_equal_norm_parseval(f, cfg)
     fp = canonical_parseval(f)
-    try:
-        chain4 = equivalence_chain_frame_to_projection(nearest_equal_norm_parseval(fp, cfg)).ratio
-    except ConvergenceError:
-        chain4 = None
-    try:
-        chain2 = equivalence_chain_projection_to_frame(projection_from_frame(fp), cfg).ratio
-    except ConvergenceError:
-        chain2 = None
+    # Chain 4 and chain 2 check the two directions of one equivalence on the
+    # same solved instance.
+    inst_p = nearest_equal_norm_parseval(fp, cfg)
+    if inst_p.converged:
+        chain4 = equivalence_chain_frame_to_projection(inst_p).ratio
+        chain2 = equivalence_chain_projection_to_frame(inst_p).ratio
+    else:
+        chain4 = chain2 = None
     if n > m:
         try:
             chain8 = naimark_reduction_check(fp, cfg).ratio
@@ -162,10 +185,6 @@ def run_trial(m: int, n: int, eps: float, trial_seed: int, tolerance: float, max
         branch = "original"
     ratio = inst.distance / inst.bound_16eM if inst.bound_16eM > 0 else 0.0
     return {
-        "M": m,
-        "N": n,
-        "eps": eps,
-        "seed": trial_seed,
         "converged": inst.converged,
         "iterations": inst.iterations,
         "distance": inst.distance,

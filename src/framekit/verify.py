@@ -238,10 +238,11 @@ def suite_equivalence(seed: int = 0, trials: int = 100) -> list[PropertyCheck]:
                 derive_seed(seed, "eqp", t),
             )
         )
-        r4 = equivalence_chain_frame_to_projection(nearest_equal_norm_parseval(f, cfg))
+        inst = nearest_equal_norm_parseval(f, cfg)
+        r4 = equivalence_chain_frame_to_projection(inst)
         worst4 = max(worst4, r4.projection_distance - 4.0 * r4.paulsen_distance)
         worst_diag = max(worst_diag, r4.solution_diagonal_defect)
-        r2 = equivalence_chain_projection_to_frame(projection_from_frame(f), cfg)
+        r2 = equivalence_chain_projection_to_frame(inst)
         worst2 = max(worst2, r2.lift_distance - 2.0 * r2.projection_distance)
         worst_extract = max(worst_extract, r2.extraction_residual)
     checks.append(_check("frame-to-projection-factor-4", trials, worst4, 1e-8))

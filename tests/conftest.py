@@ -11,15 +11,25 @@ def complex_gaussian(rng, shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 
 
-@pytest.fixture
-def eigh_calls(monkeypatch):
-    """Record the shape of every ``numpy.linalg.eigh`` argument from here on."""
+def _record_calls(monkeypatch, name: str) -> list:
     calls = []
-    eigh = np.linalg.eigh
+    fn = getattr(np.linalg, name)
 
     def counting(a, *args, **kwargs):
         calls.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
+        return fn(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    monkeypatch.setattr(np.linalg, name, counting)
     return calls
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Record the shape of every ``numpy.linalg.eigh`` argument from here on."""
+    return _record_calls(monkeypatch, "eigh")
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """Record the shape of every ``numpy.linalg.eigvalsh`` argument from here on."""
+    return _record_calls(monkeypatch, "eigvalsh")

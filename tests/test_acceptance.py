@@ -197,10 +197,11 @@ def test_criterion_07_equivalence_chains():
                 derive_seed(SEED, "chainp", t),
             )
         )
-        r4 = equivalence_chain_frame_to_projection(nearest_equal_norm_parseval(f, cfg))
+        inst = nearest_equal_norm_parseval(f, cfg)
+        r4 = equivalence_chain_frame_to_projection(inst)
         assert r4.within_bound
         worst4 = max(worst4, r4.projection_distance - 4.0 * r4.paulsen_distance)
-        r2 = equivalence_chain_projection_to_frame(projection_from_frame(f), cfg)
+        r2 = equivalence_chain_projection_to_frame(inst)
         assert r2.within_bound
         worst2 = max(worst2, r2.lift_distance - 2.0 * r2.projection_distance)
     assert worst4 <= 1e-8

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from conftest import complex_gaussian
 from framekit import (
     AdmissibleSequence,
+    Frame,
     SolverConfig,
     SpectrumSpec,
     defects,
     feasible_norm_targets,
+    frame_operator,
     harmonic_frame,
     is_parseval_admissible,
     is_S_admissible,
@@ -80,6 +83,30 @@ class TestSpectrumAdmissible:
     def test_requires_enough_norms(self):
         with pytest.raises(ValueError, match="at least as many"):
             is_S_admissible(AdmissibleSequence([1.0], 1), SpectrumSpec([1.0, 1.0]))
+
+    def test_verdicts_on_norms_and_spectra_read_off_random_frames(self, rng):
+        # Schur-Horn: the squared norms of any frame are majorized by the
+        # spectrum of its frame operator, with equal totals
+        for _ in range(200):
+            m = int(rng.integers(2, 9))
+            n = int(rng.integers(m, 25))
+            f = Frame(complex_gaussian(rng, (n, m)))
+            norms_sq = vector_norms_sq(f)
+            evals = np.linalg.eigvalsh(frame_operator(f))
+            spec = SpectrumSpec(evals)
+            assert is_S_admissible(AdmissibleSequence(np.sqrt(norms_sq), m), spec)
+            # push the largest squared norm past the largest eigenvalue and
+            # scale the others down so that the total is unchanged
+            total = float(np.sum(norms_sq))
+            lam_max = float(evals[-1])
+            raised = lam_max + (total - lam_max) * 10.0 ** rng.uniform(-4.0, -0.5)
+            rest = np.delete(norms_sq, np.argmax(norms_sq))
+            rest *= (total - raised) / np.sum(rest)
+            verdict = is_S_admissible(
+                AdmissibleSequence(np.sqrt(np.append(rest, raised)), m), spec
+            )
+            assert not verdict
+            assert "partial sum" in verdict.violated
 
     def test_identity_spectrum_agreement_on_random_sequences(self):
         rng = np.random.default_rng(8)

@@ -9,10 +9,12 @@ from framekit import (
     canonical_parseval,
     cli,
     equivalence_chain_frame_to_projection,
+    equivalence_chain_projection_to_frame,
     harmonic_frame,
     nearest_equal_norm_parseval,
     paulsen,
     perturb,
+    random_equal_norm_parseval,
 )
 from framekit.serialize import complex_array_to_lists, dump_json, frame_from_dict, frame_to_dict
 from framekit.sweep import worker_count
@@ -121,7 +123,9 @@ class TestSolve:
         path = tmp_path / "parseval.json"
         frame = canonical_parseval(perturb(harmonic_frame(4, 10), 0.05, 3))
         dump_json(frame_to_dict(frame), str(path))
-        expected = equivalence_chain_frame_to_projection(nearest_equal_norm_parseval(frame)).ratio
+        inst = nearest_equal_norm_parseval(frame)
+        expected4 = equivalence_chain_frame_to_projection(inst).ratio
+        expected2 = equivalence_chain_projection_to_frame(inst).ratio
         runs = []
         solve = paulsen._alternating_solve
 
@@ -132,9 +136,10 @@ class TestSolve:
         monkeypatch.setattr(paulsen, "_alternating_solve", counting)
         assert cli.main(["solve", str(path)]) == 0
         report = json.loads(capsys.readouterr().out)
-        # one run for the report (reused by chain 4) and one for chain 2
-        assert len(runs) == 2
-        assert report["ratio_chain4"] == expected
+        # one run for the report, reused by both chains
+        assert len(runs) == 1
+        assert report["ratio_chain4"] == expected4
+        assert report["ratio_chain2"] == expected2
 
     def test_tiny_scale_frame_converges(self, tmp_path):
         from framekit import Frame
@@ -156,6 +161,16 @@ class TestSolve:
         report = json.loads(res.stdout)
         assert report["converged"] is False
         assert report["iterations"] <= 10
+
+    def test_tolerance_below_rounding_exits_3_quickly(self, tmp_path):
+        path = tmp_path / "floor.json"
+        f = perturb(random_equal_norm_parseval(3, 7, 1), 0.05, 1)
+        dump_json(frame_to_dict(f), str(path))
+        res = run_cli("solve", str(path), "--tol", "1e-16")
+        assert res.returncode == 3
+        report = json.loads(res.stdout)
+        assert report["converged"] is False
+        assert report["iterations"] <= 50
 
     def test_non_convergence_exits_3(self, perturbed_file):
         res = run_cli("solve", perturbed_file, "--max-iter", "1", "--tol", "1e-14")

@@ -12,6 +12,8 @@ from framekit import (
     equivalence_chain_frame_to_projection,
     equivalence_chain_projection_to_frame,
     frame_distance,
+    frame_from_projection,
+    frame_lift,
     frame_operator,
     gram,
     haar_unitary,
@@ -94,6 +96,40 @@ class TestPerturb:
         far = perturb(base, 0.2, 5)
         assert frame_distance(base, close) < 1e-8
         assert frame_distance(base, close) < frame_distance(base, far)
+
+    def test_defect_lands_just_below_the_cap(self):
+        rng = np.random.default_rng(606)
+        for seed in range(200):
+            m = int(rng.integers(1, 9))
+            n = int(rng.integers(m, 25))
+            eps = float(10.0 ** rng.uniform(-3.0, -0.7))
+            f = perturb(random_equal_norm_parseval(m, n, seed), eps, seed)
+            assert (1.0 - 1e-3) * eps <= defects(f).max() <= eps
+
+    def test_scores_few_candidates_and_builds_one_frame(self, eigh_calls, eigvalsh_calls):
+        rng = np.random.default_rng(607)
+        for seed in range(50):
+            m = int(rng.integers(1, 9))
+            n = int(rng.integers(m, 25))
+            base = random_equal_norm_parseval(m, n, seed)
+            eigh_calls.clear()
+            eigvalsh_calls.clear()
+            perturb(base, float(rng.uniform(0.005, 0.2)), seed)
+            assert 1 <= len(eigvalsh_calls) < 20
+            assert all(shape == (m, m) for shape in eigvalsh_calls)
+            # the returned Frame's own decomposition, and nothing else
+            assert eigh_calls == [(m, m)]
+
+    def test_cap_holds_when_candidate_scores_round_low(self, monkeypatch):
+        # scores whose eigenvalues sit 0.1% closer to 1 than the Frame's own
+        # accept amplitudes just past the cap; the result must still meet it
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda a: 1.0 + (eigvalsh(a) - 1.0) * (1.0 - 1e-3)
+        )
+        for seed in range(20):
+            f = perturb(random_equal_norm_parseval(3, 8, seed), 0.05, seed)
+            assert defects(f).max() <= 0.05
 
     def test_rejects_non_equal_norm_input(self):
         with pytest.raises(ValueError, match="equal-norm Parseval"):
@@ -207,6 +243,15 @@ class TestNearestEqualNormParseval:
             inst = nearest_equal_norm_parseval(f, SolverConfig(tolerance=1e-14))
             assert inst.converged
 
+    def test_tolerance_below_rounding_stops_early(self):
+        # both defects sit at rounding level (about 1e-16) long before a
+        # 1e-16 tolerance could be met; the solve must not run to the cap
+        f = perturb(random_equal_norm_parseval(3, 7, 1), 0.05, 1)
+        inst = nearest_equal_norm_parseval(f, SolverConfig(tolerance=1e-16))
+        assert not inst.converged
+        assert inst.iterations <= 50
+        assert defects(inst.solution).max() <= 1e-14
+
     def test_non_convergence_reports_best_iterate(self):
         f = perturb(harmonic_frame(2, 5), 0.2, 1)
         inst = nearest_equal_norm_parseval(f, SolverConfig(max_iterations=1))
@@ -268,8 +313,9 @@ class TestEquivalenceChains:
             assert rep.ratio <= 4.0 + 1e-6
 
     def test_projection_to_frame_on_constant_diagonal(self):
-        p = projection_from_frame(harmonic_frame(2, 6))
-        rep = equivalence_chain_projection_to_frame(p)
+        rep = equivalence_chain_projection_to_frame(
+            nearest_equal_norm_parseval(harmonic_frame(2, 6))
+        )
         assert rep.paulsen_distance <= 1e-12
         assert rep.lift_distance <= 1e-10
         assert rep.within_bound
@@ -279,9 +325,23 @@ class TestEquivalenceChains:
             f = canonical_parseval(
                 perturb(random_equal_norm_parseval(2, 4, 100 + seed), 0.08, seed)
             )
-            rep = equivalence_chain_projection_to_frame(projection_from_frame(f))
+            rep = equivalence_chain_projection_to_frame(nearest_equal_norm_parseval(f))
             assert rep.within_bound
             assert rep.extraction_residual <= 1e-9
+
+    def test_projection_to_frame_matches_a_solve_of_the_extracted_frame(self):
+        # the extracted frame is the input up to a unitary, so solving it
+        # again finds the same projection Q
+        for seed in range(10):
+            f = canonical_parseval(
+                perturb(random_equal_norm_parseval(3, 7, 200 + seed), 0.05, seed)
+            )
+            rep = equivalence_chain_projection_to_frame(nearest_equal_norm_parseval(f))
+            g = frame_from_projection(projection_from_frame(f))
+            resolved = nearest_equal_norm_parseval(g)
+            q = projection_from_frame(resolved.solution)
+            assert abs(resolved.distance - rep.paulsen_distance) <= 1e-12
+            assert abs(frame_distance(g, frame_lift(g, q)) - rep.lift_distance) <= 1e-12
 
     def test_rejects_non_parseval_frame(self):
         f = Frame(1.1 * harmonic_frame(2, 6).vectors)
@@ -299,5 +359,19 @@ class TestEquivalenceChains:
         f = canonical_parseval(perturb(harmonic_frame(2, 5), 0.2, 3))
         with pytest.raises(ConvergenceError):
             equivalence_chain_frame_to_projection(
+                nearest_equal_norm_parseval(f, SolverConfig(max_iterations=1))
+            )
+
+    def test_projection_to_frame_checks_parseval_then_convergence(self):
+        f = Frame(1.1 * harmonic_frame(2, 6).vectors)
+        with pytest.raises(ValueError, match="not Parseval"):
+            equivalence_chain_projection_to_frame(nearest_equal_norm_parseval(f))
+        f = Frame(1.1 * perturb(harmonic_frame(2, 5), 0.2, 3).vectors)
+        inst = nearest_equal_norm_parseval(f, SolverConfig(max_iterations=1))
+        with pytest.raises(ValueError, match="not Parseval"):
+            equivalence_chain_projection_to_frame(inst)
+        f = canonical_parseval(perturb(harmonic_frame(2, 5), 0.2, 3))
+        with pytest.raises(ConvergenceError):
+            equivalence_chain_projection_to_frame(
                 nearest_equal_norm_parseval(f, SolverConfig(max_iterations=1))
             )

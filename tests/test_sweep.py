@@ -1,0 +1,72 @@
+import hashlib
+
+import numpy as np
+import pytest
+
+from framekit import RankDeficientError, derive_seed, sweep
+from framekit.sweep import CSV_COLUMNS, ExperimentConfig, run_sweep
+
+# Acceptance criterion 11's grid.  Its CSV bytes are pinned so that a change
+# claiming bit-identical sweep output is held to it.
+SMALL = {
+    "M_range": [2, 3],
+    "N_range": [4, 6],
+    "eps_list": [0.05],
+    "trials_per_cell": 2,
+    "master_seed": 11,
+    "tolerance": 1e-10,
+    "output_path": "small.csv",
+}
+SMALL_SHA256 = "0d5f22d8bf6cc310bca85596aabc4096ea645ad72850da41b03d2413b27ff7db"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_small_sweep_bytes_are_pinned(jobs):
+    csv_text = run_sweep(ExperimentConfig.from_dict(SMALL), jobs=jobs)
+    assert hashlib.sha256(csv_text.encode()).hexdigest() == SMALL_SHA256
+
+
+def _rows(csv_text):
+    return [line for line in csv_text.splitlines() if not line.startswith("#")]
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        RankDeficientError("vectors do not span"),
+        np.linalg.LinAlgError("eigenvalues did not converge"),
+        ZeroDivisionError("float division by zero"),
+    ],
+)
+def test_failing_trial_is_recorded_and_the_sweep_goes_on(monkeypatch, capsys, error):
+    config = ExperimentConfig.from_dict(SMALL)
+    expected = _rows(run_sweep(config))
+    bad_seed = derive_seed(config.master_seed, 3, 4, 0.05, 1)
+    perturb = sweep.perturb
+
+    def failing(frame, eps, seed):
+        if seed == derive_seed(bad_seed, "perturb"):
+            raise error
+        return perturb(frame, eps, seed)
+
+    monkeypatch.setattr(sweep, "perturb", failing)
+    capsys.readouterr()
+    rows = _rows(run_sweep(config, jobs=1))
+    failed = [i for i, row in enumerate(expected) if f",{bad_seed}," in row]
+    assert len(failed) == 1
+    i = failed[0]
+    assert rows[:i] + rows[i + 1 :] == expected[:i] + expected[i + 1 :]
+    assert rows[i] == f"3,4,0.05,{bad_seed}" + "," * (len(CSV_COLUMNS) - 4)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert f"M=3 N=4 eps=0.05 seed={bad_seed}" in err[0]
+    assert type(error).__name__ in err[0]
+
+
+def test_errors_outside_the_numerical_ones_still_propagate(monkeypatch):
+    def failing(frame, eps, seed):
+        raise TypeError("a programming error")
+
+    monkeypatch.setattr(sweep, "perturb", failing)
+    with pytest.raises(TypeError):
+        run_sweep(ExperimentConfig.from_dict(SMALL), jobs=1)
