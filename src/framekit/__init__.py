@@ -35,6 +35,7 @@ from .frames import (
 from .linalg import HermEig, SingularMatrixError, Svd, herm_eig, hs_norm, inv_sqrt_psd, svd
 from .naimark import (
     NaimarkReductionReport,
+    naimark_branch,
     naimark_complement,
     naimark_reduction_check,
     reduce_to_small,

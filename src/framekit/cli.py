@@ -27,7 +27,7 @@ from .serialize import (
 )
 from .subspaces import PARSEVAL_ATOL
 from .sweep import ExperimentConfig, run_sweep
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -198,11 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("verify", help="run a property suite")
-    p.add_argument(
-        "--suite",
-        required=True,
-        choices=["geometry", "equivalence", "naimark", "admissible"],
-    )
+    p.add_argument("--suite", required=True, choices=list(SUITES))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=None)
     p.set_defaults(fn=cmd_verify)

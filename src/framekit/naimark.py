@@ -19,6 +19,7 @@ from .subspaces import PARSEVAL_ATOL, Projection, frame_from_projection, frame_l
 
 __all__ = [
     "NaimarkReductionReport",
+    "naimark_branch",
     "naimark_complement",
     "naimark_reduction_check",
     "reduce_to_small",
@@ -77,12 +78,18 @@ def naimark_reduction_check(frame: Frame, cfg: SolverConfig | None = None) -> Na
     )
 
 
-def reduce_to_small(frame: Frame) -> tuple[Frame, str]:
-    """Return ``(frame, "original")`` when N <= 2M, otherwise the Naimark
-    complement (which satisfies N <= 2 (N - M)) flagged ``"complemented"``.
+def naimark_branch(m: int, n: int) -> str:
+    """``"original"`` when N <= 2M, otherwise ``"complemented"``: the
+    complement of N vectors in dimension N - M then has N <= 2 (N - M).
 
     The boundary N == 2M keeps the original.
     """
-    if frame.n_vectors <= 2 * frame.dim:
-        return frame, "original"
-    return naimark_complement(frame), "complemented"
+    return "original" if n <= 2 * m else "complemented"
+
+
+def reduce_to_small(frame: Frame) -> tuple[Frame, str]:
+    """Return the frame or its Naimark complement, flagged by ``naimark_branch``."""
+    branch = naimark_branch(frame.dim, frame.n_vectors)
+    if branch == "original":
+        return frame, branch
+    return naimark_complement(frame), branch

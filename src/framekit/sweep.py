@@ -17,7 +17,7 @@ import numpy as np
 
 from ._seeding import derive_seed
 from .frames import RankDeficientError, canonical_parseval
-from .naimark import naimark_reduction_check, reduce_to_small
+from .naimark import naimark_branch, naimark_reduction_check
 from .paulsen import (
     ConvergenceError,
     SolverConfig,
@@ -179,10 +179,8 @@ def _trial_results(m, n, eps, trial_seed, tolerance, max_iterations) -> dict:
             chain8 = naimark_reduction_check(fp, cfg).ratio
         except ConvergenceError:
             chain8 = None
-        branch = reduce_to_small(fp)[1]
     else:
         chain8 = None
-        branch = "original"
     ratio = inst.distance / inst.bound_16eM if inst.bound_16eM > 0 else 0.0
     return {
         "converged": inst.converged,
@@ -193,7 +191,7 @@ def _trial_results(m, n, eps, trial_seed, tolerance, max_iterations) -> dict:
         "chain4": chain4,
         "chain2": chain2,
         "chain8": chain8,
-        "naimark_branch": branch,
+        "naimark_branch": naimark_branch(m, n),
     }
 
 

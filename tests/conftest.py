@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from framekit.verify import LIMITS
+
 
 @pytest.fixture
 def rng():
@@ -9,6 +11,12 @@ def rng():
 
 def complex_gaussian(rng, shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+
+
+def within(check: str, slack, instance=None) -> None:
+    """Assert a slack (or a worst slack) against the verify suites' limit for
+    ``check``, naming the instance on failure."""
+    assert slack <= LIMITS[check], f"{check}: slack {slack!r} over {LIMITS[check]} at {instance}"
 
 
 def _record_calls(monkeypatch, name: str) -> list:

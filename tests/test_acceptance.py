@@ -12,40 +12,44 @@ import time
 import numpy as np
 import pytest
 
+from conftest import within
 from framekit import (
     SolverConfig,
-    aligned_bases,
-    analysis_image_distance,
     canonical_parseval,
-    chordal_sq,
     defects,
     derive_seed,
     equivalence_chain_frame_to_projection,
     equivalence_chain_projection_to_frame,
     frame_distance,
-    frame_lift,
-    gram,
-    hs_norm,
     is_parseval_admissible,
     is_S_admissible,
-    naimark_complement,
     naimark_reduction_check,
     near_parseval_frame,
     nearest_equal_norm_parseval,
     parseval_pair,
     perturb,
-    principal_angles,
-    proj_distance,
     projection_from_frame,
     random_equal_norm_parseval,
     random_parseval,
     random_projection_pair,
-    reduce_to_small,
-    vector_norms_sq,
     AdmissibleSequence,
     SpectrumSpec,
 )
 from framekit.serialize import dump_json
+from framekit.verify import (
+    aligned_basis_slacks,
+    angle_sum_slack,
+    canonical_slacks,
+    chain2_slacks,
+    chain4_slacks,
+    chordal_half_slack,
+    complement_route_slack,
+    complement_slacks,
+    factor4_slack,
+    identity_spectrum_violation,
+    lift_slacks,
+    reduction_violation,
+)
 
 SEED = 20260401
 
@@ -64,10 +68,9 @@ def test_criterion_01_chordal_is_half_projection_distance():
     worst = 0.0
     for t in range(200):
         p, q = random_projection_pair(derive_seed(SEED, "pairs", t))
-        d = proj_distance(p, q)
-        worst = max(worst, abs(chordal_sq(p, q) - 0.5 * d) / max(1.0, d))
+        worst = max(worst, chordal_half_slack(p, q))
     elapsed = time.monotonic() - start
-    assert worst <= 1e-8
+    within("chordal-equals-half-projection-distance", worst)
     assert elapsed <= 10.0
     report(
         f"[PASS] criterion 1: chordal^2 = d/2 on 200 pairs, "
@@ -78,8 +81,8 @@ def test_criterion_01_chordal_is_half_projection_distance():
 def test_criterion_02_trace_formula_matches_angle_sum(projection_pairs_200):
     worst = 0.0
     for p, q in projection_pairs_200:
-        worst = max(worst, abs(chordal_sq(p, q) - principal_angles(p, q).sin_sq_sum()))
-    assert worst <= 1e-8
+        worst = max(worst, angle_sum_slack(p, q))
+    within("chordal-equals-angle-sin-squared-sum", worst)
     report(f"[PASS] criterion 2: rank - Tr PQ = sum sin^2 on 200 pairs, worst {worst:.3e}")
 
 
@@ -87,10 +90,8 @@ def test_criterion_03_aligned_basis_sandwich():
     worst = 0.0
     for t in range(500):
         p, q = random_projection_pair(derive_seed(SEED, "sandwich", t))
-        dc = chordal_sq(p, q)
-        s = aligned_bases(p, q).pair_distance_sq_sum()
-        worst = max(worst, dc - s, s - 4.0 * dc)
-    assert worst <= 1e-9
+        worst = max(worst, aligned_basis_slacks(p, q)[0])
+    within("aligned-basis-sandwich", worst)
     report(f"[PASS] criterion 3: dc^2 <= sum||a-b||^2 <= 4 dc^2 on 500 pairs, worst {worst:.3e}")
 
 
@@ -102,10 +103,9 @@ def test_criterion_04_gram_image_distance_factor_4():
         n = int(rng.integers(m, 19))
         target = float(10.0 ** rng.uniform(math.log10(4e-4), math.log10(0.25)))
         f, g = parseval_pair(derive_seed(SEED, "factor4", t), target, m, n)
-        delta = frame_distance(f, g)
-        assert 1e-4 <= delta <= 1.0
-        worst = max(worst, (analysis_image_distance(f, g) - 4.0 * delta) / max(1.0, delta))
-    assert worst <= 1e-9
+        assert 1e-4 <= frame_distance(f, g) <= 1.0
+        worst = max(worst, factor4_slack(f, g))
+    within("gram-image-distance-factor-4", worst)
     report(f"[PASS] criterion 4: Gram-image distance <= 4 delta on 200 pairs, worst {worst:.3e}")
 
 
@@ -123,18 +123,14 @@ def test_criterion_05_frame_lift_construction():
             equal_norm_cases += 1
         else:
             target = random_parseval(m, n, derive_seed(SEED, "liftq", t))
-        q = projection_from_frame(target)
-        g = frame_lift(f, q)
-        worst_gram = max(worst_gram, hs_norm(gram(g) - q.matrix))
-        worst_dist = max(
-            worst_dist,
-            frame_distance(f, g) - 2.0 * proj_distance(projection_from_frame(f), q),
-        )
+        gram_slack, dist_slack, norm_slack = lift_slacks(f, projection_from_frame(target))
+        worst_gram = max(worst_gram, gram_slack)
+        worst_dist = max(worst_dist, dist_slack)
         if use_equal_norm:
-            worst_norm = max(worst_norm, defects(g).equal_norm_eps)
-    assert worst_gram <= 1e-8
-    assert worst_dist <= 1e-8
-    assert worst_norm <= 1e-8
+            worst_norm = max(worst_norm, norm_slack)
+    within("frame-lift-gram-matches-target", worst_gram)
+    within("frame-lift-distance-factor-2", worst_dist)
+    within("frame-lift-equal-norm-transfer", worst_norm)
     report(
         f"[PASS] criterion 5: lift on 200 cases ({equal_norm_cases} equal-norm targets): "
         f"gram {worst_gram:.3e}, dist slack {worst_dist:.3e}, norm defect {worst_norm:.3e}"
@@ -159,23 +155,14 @@ def test_criterion_06_canonical_reduction_bounds():
                     eps,
                     derive_seed(SEED, "canonp", eps, t),
                 )
-            d = defects(f)
-            assert d.parseval_eps <= eps + 1e-12
-            g = canonical_parseval(f)
-            ep = d.parseval_eps
-            bound = m * (2.0 - ep - 2.0 * math.sqrt(1.0 - ep))
-            worst_dist = max(worst_dist, frame_distance(f, g) - bound)
-            e = d.max()
-            lo = (1.0 - e) ** 2 / (1.0 + e) * m / n
-            hi = (1.0 + e) ** 2 / (1.0 - e) * m / n
-            norms_sq = vector_norms_sq(g)
-            worst_norm = max(
-                worst_norm, float(np.max(lo - norms_sq)), float(np.max(norms_sq - hi))
-            )
+            assert defects(f).parseval_eps <= eps + 1e-12
+            _, dist_slack, norm_slack = canonical_slacks(f)
+            worst_dist = max(worst_dist, dist_slack)
+            worst_norm = max(worst_norm, norm_slack)
             cases += 1
     assert cases == 100
-    assert worst_dist <= 1e-9
-    assert worst_norm <= 1e-9
+    within("canonical-parseval-distance-bound", worst_dist)
+    within("canonical-parseval-norm-bounds", worst_norm)
     report(
         f"[PASS] criterion 6: canonical reduction on 100 frames (both generators): "
         f"distance slack {worst_dist:.3e}, norm-bound slack {worst_norm:.3e}"
@@ -200,12 +187,12 @@ def test_criterion_07_equivalence_chains():
         inst = nearest_equal_norm_parseval(f, cfg)
         r4 = equivalence_chain_frame_to_projection(inst)
         assert r4.within_bound
-        worst4 = max(worst4, r4.projection_distance - 4.0 * r4.paulsen_distance)
+        worst4 = max(worst4, chain4_slacks(r4)[0])
         r2 = equivalence_chain_projection_to_frame(inst)
         assert r2.within_bound
-        worst2 = max(worst2, r2.lift_distance - 2.0 * r2.projection_distance)
-    assert worst4 <= 1e-8
-    assert worst2 <= 1e-8
+        worst2 = max(worst2, chain2_slacks(r2)[0])
+    within("frame-to-projection-factor-4", worst4)
+    within("projection-to-frame-factor-2", worst2)
     report(
         f"[PASS] criterion 7: 200+200 chain instances: factor-4 slack {worst4:.3e}, "
         f"factor-2 slack {worst2:.3e}"
@@ -228,19 +215,14 @@ def test_criterion_08_complement_identities_and_factor_8():
                 derive_seed(SEED, "nkp", t),
             )
         )
-        comp = naimark_complement(f)
-        worst_gram = max(worst_gram, hs_norm(gram(comp) + gram(f) - np.eye(n)))
-        worst_transfer = max(
-            worst_transfer,
-            defects(comp).equal_norm_eps - defects(f).equal_norm_eps * m / (n - m),
-        )
-        rep = naimark_reduction_check(f, cfg)
-        worst8 = max(worst8, rep.lift_distance - 8.0 * rep.complement_distance)
-        reduced, _ = reduce_to_small(f)
-        branch_ok = branch_ok and reduced.n_vectors <= 2 * reduced.dim
-    assert worst_gram <= 1e-9
-    assert worst_transfer <= 1e-9
-    assert worst8 <= 1e-8
+        gram_slack, _, transfer_slack, _ = complement_slacks(f)
+        worst_gram = max(worst_gram, gram_slack)
+        worst_transfer = max(worst_transfer, transfer_slack)
+        worst8 = max(worst8, complement_route_slack(naimark_reduction_check(f, cfg)))
+        branch_ok = branch_ok and not reduction_violation(f)
+    within("complement-gram-identity", worst_gram)
+    within("complement-defect-transfer", worst_transfer)
+    within("complement-route-factor-8", worst8)
     assert branch_ok
     report(
         f"[PASS] criterion 8: 100 complement instances: gram identity {worst_gram:.3e}, "
@@ -314,10 +296,7 @@ def test_criterion_10_admissibility_verdicts():
         a = rng.uniform(0.05, 1.3, size=n)
         if rng.integers(2):
             a *= math.sqrt(m / np.sum(a**2))
-        seq = AdmissibleSequence(a, m)
-        assert bool(is_parseval_admissible(seq)) == bool(
-            is_S_admissible(seq, SpectrumSpec(np.ones(m)))
-        )
+        within("identity-spectrum-agreement", identity_spectrum_violation(AdmissibleSequence(a, m)))
     report(
         "[PASS] criterion 10: tabulated verdicts exact; identity-spectrum test agrees "
         "with the Parseval test on 1000 random sequences"

@@ -7,7 +7,6 @@ import pytest
 from framekit import (
     Frame,
     RankDeficientError,
-    analysis_image_distance,
     analysis_matrix,
     canonical_parseval,
     defects,
@@ -27,8 +26,9 @@ from framekit import (
     random_parseval,
     vector_norms_sq,
 )
+from framekit.verify import canonical_slacks, factor4_slack, parseval_gram_slacks
 
-from conftest import complex_gaussian
+from conftest import complex_gaussian, within
 
 
 def scaled_frame(frame, c):
@@ -163,7 +163,7 @@ class TestCanonicalParseval:
         d = frame_distance(f, g)
         closed_form = m * (math.sqrt(1.0 + eps) - 1.0) ** 2
         assert abs(d - closed_form) <= 1e-10
-        assert d <= m * (2.0 - eps - 2.0 * math.sqrt(1.0 - eps)) + 1e-9
+        within("canonical-parseval-distance-bound", canonical_slacks(f)[1])
 
     def test_sharp_bound_beats_quadratic_at_large_eps(self):
         # At eps = 0.2, M = 4 the sharp value exceeds M eps^2 / 4, so only
@@ -176,20 +176,13 @@ class TestCanonicalParseval:
 
     def test_distance_bound_and_norm_bounds_on_random_inputs(self):
         for i, eps in enumerate([0.01, 0.1, 0.3]):
-            f = near_parseval_frame(eps, 4, 9, 100 + i)
-            d = defects(f)
-            g = canonical_parseval(f)
-            ep = d.parseval_eps
-            assert frame_distance(f, g) <= 4 * (2.0 - ep - 2.0 * math.sqrt(1.0 - ep)) + 1e-9
-            e = d.max()
-            norms_sq = vector_norms_sq(g)
-            assert np.all(norms_sq >= (1 - e) ** 2 / (1 + e) * 4 / 9 - 1e-9)
-            assert np.all(norms_sq <= (1 + e) ** 2 / (1 - e) * 4 / 9 + 1e-9)
+            _, dist_slack, norm_slack = canonical_slacks(near_parseval_frame(eps, 4, 9, 100 + i))
+            within("canonical-parseval-distance-bound", dist_slack, eps)
+            within("canonical-parseval-norm-bounds", norm_slack, eps)
 
     def test_idempotent(self):
         f = near_parseval_frame(0.3, 3, 7, 31)
-        g = canonical_parseval(f)
-        assert frame_distance(g, canonical_parseval(g)) <= 1e-9
+        within("canonical-parseval-idempotent", canonical_slacks(f)[0])
 
 
 class TestSpectrumReuse:
@@ -268,10 +261,9 @@ class TestGram:
         assert np.allclose(gram(Frame(np.eye(3))), np.eye(3))
 
     def test_parseval_gram_idempotent_with_norm_diagonal(self):
-        f = random_parseval(3, 8, 13)
-        g = gram(f)
-        assert hs_norm(g @ g - g) <= 1e-9
-        assert np.allclose(np.diagonal(g).real, vector_norms_sq(f), atol=1e-9)
+        idempotent, diagonal = parseval_gram_slacks(random_parseval(3, 8, 13))
+        within("parseval-gram-idempotent", idempotent)
+        within("parseval-gram-diagonal-norms", diagonal)
 
     def test_harmonic_gram_diagonal(self):
         g = gram(harmonic_frame(2, 3))
@@ -290,5 +282,4 @@ class TestAnalysisImageDistance:
     def test_factor_four_over_seeded_parseval_pairs(self):
         for t in range(50):
             f, g = parseval_pair(t, 10.0 ** (-4 + 0.08 * t), 3, 8)
-            delta = frame_distance(f, g)
-            assert analysis_image_distance(f, g) <= 4.0 * delta + 1e-9 * max(1.0, delta)
+            within("gram-image-distance-factor-4", factor4_slack(f, g), t)

@@ -7,7 +7,9 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "framekit"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 CLIENTS = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
-SUITE_API = {"PropertyCheck", "SUITES", "run_suite"}
+SUITE_API = {"PropertyCheck", "SUITES", "run_suite", "LIMITS"}
+# the per-instance property functions the suites and the tests share
+PROPERTY_SUFFIXES = ("_slack", "_slacks", "_violation")
 
 
 def framekit_imports(path: Path):
@@ -68,11 +70,15 @@ def test_only_cli_imports_verify_and_only_for_its_suites():
         if "framekit.verify" in modules_named(module, name)
     }
     assert importers == {"cli.py"}
-    # Tests and demos get their inputs from paulsen, never from verify.
+    # Tests and demos get their inputs from paulsen, never from verify; they
+    # take from verify only its suites, limits and property functions.
     taken = [
         f"{path.name}: {name}"
         for path in CLIENTS
         for module, name in framekit_imports(path)
-        if module == "framekit.verify" and name not in SUITE_API and not name.startswith("suite_")
+        if module == "framekit.verify"
+        and name not in SUITE_API
+        and not name.startswith("suite_")
+        and not name.endswith(PROPERTY_SUFFIXES)
     ]
     assert taken == []

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
+from conftest import within
 from framekit import (
     Frame,
     canonical_parseval,
-    defects,
-    gram,
     harmonic_frame,
-    hs_norm,
+    naimark_branch,
     naimark_complement,
     naimark_reduction_check,
     perturb,
@@ -16,6 +15,7 @@ from framekit import (
     reduce_to_small,
     vector_norms_sq,
 )
+from framekit.verify import complement_slacks, reduction_violation
 
 
 class TestComplement:
@@ -27,27 +27,20 @@ class TestComplement:
     def test_gram_identity(self):
         for seed in range(10):
             f = random_parseval(3, 8, seed)
-            comp = naimark_complement(f)
-            assert hs_norm(gram(comp) + gram(f) - np.eye(8)) <= 1e-9
+            within("complement-gram-identity", complement_slacks(f)[0], seed)
 
     def test_norm_identity(self):
-        f = random_parseval(2, 7, 4)
-        comp = naimark_complement(f)
-        assert np.max(np.abs(vector_norms_sq(comp) + vector_norms_sq(f) - 1.0)) <= 1e-10
+        within("complement-norm-identity", complement_slacks(random_parseval(2, 7, 4))[1])
 
     def test_double_complement_restores_gram(self):
-        f = random_parseval(3, 7, 9)
-        double = naimark_complement(naimark_complement(f))
-        assert hs_norm(gram(double) - gram(f)) <= 1e-8
+        within("double-complement-restores-gram", complement_slacks(random_parseval(3, 7, 9))[3])
 
     def test_defect_transfer(self):
         for seed in range(10):
             f = canonical_parseval(
                 perturb(random_equal_norm_parseval(2, 6, seed), 0.08, seed)
             )
-            eps = defects(f).equal_norm_eps
-            comp_eps = defects(naimark_complement(f)).equal_norm_eps
-            assert comp_eps <= eps * 2 / (6 - 2) + 1e-9
+            within("complement-defect-transfer", complement_slacks(f)[2], seed)
 
     def test_rejects_square_frame(self):
         with pytest.raises(ValueError, match="dimension is zero"):
@@ -82,7 +75,7 @@ class TestReductionCheck:
         reduced, flag = reduce_to_small(f)
         assert flag == "complemented"
         assert reduced.dim == 4 and reduced.n_vectors == 6
-        assert reduced.n_vectors <= 2 * reduced.dim
+        within("reduction-always-small", reduction_violation(f))
 
 
 class TestReduceToSmall:
@@ -97,10 +90,15 @@ class TestReduceToSmall:
         reduced, flag = reduce_to_small(f)
         assert flag == "complemented"
         assert reduced.dim == 5 and reduced.n_vectors == 7
-        assert reduced.n_vectors <= 2 * reduced.dim
+        within("reduction-always-small", reduction_violation(f))
 
     def test_boundary_two_m_keeps_original(self):
         f = harmonic_frame(3, 6)
         reduced, flag = reduce_to_small(f)
         assert flag == "original"
         assert reduced is f
+
+    def test_branch_rule_is_the_reduction_flag(self):
+        for m, n, branch in [(3, 5, "original"), (3, 6, "original"), (2, 7, "complemented")]:
+            assert naimark_branch(m, n) == branch
+            assert reduce_to_small(harmonic_frame(m, n))[1] == branch

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import within
 from framekit import (
     Frame,
     Projection,
@@ -26,6 +27,7 @@ from framekit import (
     random_projection_pair,
     vector_norms_sq,
 )
+from framekit.verify import aligned_basis_slacks, angle_sum_slack, chordal_half_slack, lift_slacks
 
 
 def coordinate_projection(n, coords):
@@ -163,10 +165,8 @@ class TestChordal:
     def test_identities_on_random_pairs(self):
         for t in range(50):
             p, q = random_projection_pair(1000 + t)
-            dc = chordal_sq(p, q)
-            d = proj_distance(p, q)
-            assert abs(dc - 0.5 * d) <= 1e-8 * max(1.0, d)
-            assert abs(dc - principal_angles(p, q).sin_sq_sum()) <= 1e-8
+            within("chordal-equals-half-projection-distance", chordal_half_slack(p, q), t)
+            within("chordal-equals-angle-sin-squared-sum", angle_sum_slack(p, q), t)
 
 
 class TestAlignedBases:
@@ -187,16 +187,13 @@ class TestAlignedBases:
     def test_invariants_and_sandwich_on_random_pairs(self):
         for t in range(60):
             p, q = random_projection_pair(2000 + t)
+            sandwich, pairing = aligned_basis_slacks(p, q)
+            within("aligned-basis-pairing", pairing, t)
             ab = aligned_bases(p, q)
-            cos = principal_angles(p, q).cosines
-            cross = ab.first.conj().T @ ab.second
-            assert np.max(np.abs(cross - np.diag(cos))) <= 1e-9
+            half_angles = np.arccos(principal_angles(p, q).cosines) / 2.0
             col_dist = np.sum(np.abs(ab.first - ab.second) ** 2, axis=0)
-            assert np.max(np.abs(col_dist - 2.0 * (1.0 - cos))) <= 1e-9
-            assert np.max(np.abs(col_dist - 4.0 * np.sin(np.arccos(cos) / 2.0) ** 2)) <= 1e-9
-            s = ab.pair_distance_sq_sum()
-            dc = chordal_sq(p, q)
-            assert dc - 1e-9 <= s <= 4.0 * dc + 1e-9
+            assert np.max(np.abs(col_dist - 4.0 * np.sin(half_angles) ** 2)) <= 1e-9
+            within("aligned-basis-sandwich", sandwich, t)
 
     def test_columns_stay_orthonormal(self):
         p, q = random_projection_pair(999)
@@ -237,12 +234,11 @@ class TestFrameLift:
         f = harmonic_frame(2, 3)
         other = random_equal_norm_parseval(2, 3, 123)
         q = projection_from_frame(other)
-        g = frame_lift(f, q)
-        assert hs_norm(gram(g) - q.matrix) <= 1e-8
-        d = defects(g)
-        assert d.parseval_eps <= 1e-9
-        assert d.equal_norm_eps <= 1e-8
-        assert frame_distance(f, g) <= 2.0 * proj_distance(projection_from_frame(f), q) + 1e-8
+        gram_slack, dist_slack, norm_slack = lift_slacks(f, q)
+        within("frame-lift-gram-matches-target", gram_slack)
+        assert defects(frame_lift(f, q)).parseval_eps <= 1e-9
+        within("frame-lift-equal-norm-transfer", norm_slack)
+        within("frame-lift-distance-factor-2", dist_slack)
 
     def test_random_cases_meet_all_postconditions(self):
         for t in range(40):
@@ -251,10 +247,10 @@ class TestFrameLift:
             n = int(rng.integers(m + 1, 12))
             f = random_parseval(m, n, 4000 + t)
             q = projection_from_frame(random_parseval(m, n, 5000 + t))
-            g = frame_lift(f, q)
-            assert hs_norm(gram(g) - q.matrix) <= 1e-8
-            assert defects(g).parseval_eps <= 1e-9
-            assert frame_distance(f, g) <= 2.0 * proj_distance(projection_from_frame(f), q) + 1e-8
+            gram_slack, dist_slack, _ = lift_slacks(f, q)
+            within("frame-lift-gram-matches-target", gram_slack, t)
+            assert defects(frame_lift(f, q)).parseval_eps <= 1e-9
+            within("frame-lift-distance-factor-2", dist_slack, t)
 
     def test_norms_follow_target_diagonal(self):
         f = random_parseval(2, 5, 42)
