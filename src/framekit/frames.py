@@ -52,10 +52,12 @@ class Frame:
     frame-operator eigenvalue above ``SPAN_EIG_FLOOR`` times the largest);
     rank-deficient vector lists are rejected outright.  The eigendecomposition
     of the frame operator made for that check is kept, and every reader of
-    the spectrum reuses it.  Instances are immutable.
+    the spectrum reuses it.  A Parseval frame likewise keeps its Gram
+    projection once :func:`framekit.subspaces.projection_from_frame` has
+    built it.  Instances are immutable.
     """
 
-    __slots__ = ("_vectors", "_eig")
+    __slots__ = ("_vectors", "_eig", "_gram_projection")
 
     def __init__(self, vectors):
         v = as_matrix(vectors, "vectors")
@@ -84,6 +86,7 @@ class Frame:
         eig.eigenvectors.flags.writeable = False
         self._vectors = v
         self._eig = eig
+        self._gram_projection = None
 
     @property
     def vectors(self) -> np.ndarray:

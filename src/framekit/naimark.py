@@ -15,7 +15,14 @@ import numpy as np
 
 from .frames import Frame, defects, frame_distance, gram
 from .paulsen import PaulsenInstance, SolverConfig, chain_ratio, nearest_equal_norm_parseval
-from .subspaces import PARSEVAL_ATOL, Projection, frame_from_projection, frame_lift, proj_distance
+from .subspaces import (
+    PARSEVAL_ATOL,
+    Projection,
+    frame_from_projection,
+    frame_lift,
+    proj_distance,
+    projection_from_frame,
+)
 
 __all__ = [
     "NaimarkReductionReport",
@@ -64,7 +71,7 @@ def naimark_reduction_check(frame: Frame, cfg: SolverConfig | None = None) -> Na
     q = Projection(np.eye(n) - gram(instance.solution), atol=1e-7)
     lifted = frame_lift(frame, q)
     lift_distance = frame_distance(frame, lifted)
-    dist = proj_distance(Projection(gram(frame), atol=1e-7), q)
+    dist = proj_distance(projection_from_frame(frame), q)
     return NaimarkReductionReport(
         equal_norm_eps=eps,
         complement_equal_norm_eps=comp_eps,

@@ -123,14 +123,22 @@ class AlignedBases:
         return float(np.sum(np.abs(self.first - self.second) ** 2))
 
 
-def projection_from_frame(frame: Frame, *, atol: float = PARSEVAL_ATOL) -> Projection:
-    """Gram matrix of a Parseval frame as the projection onto its analysis range."""
-    eps = defects(frame).parseval_eps
-    if eps > atol:
-        raise ValueError(f"frame is not Parseval: defect {eps:.3e} exceeds {atol:.0e}")
-    # Wrap tolerance is looser than the gate: a frame at the gate boundary
-    # produces a Gram whose idempotency defect is of the same order.
-    return Projection(gram(frame), atol=max(1e-9, 10.0 * atol))
+def projection_from_frame(frame: Frame) -> Projection:
+    """Gram matrix of a Parseval frame as the projection onto its analysis range.
+
+    The projection is built on the first request and kept by the frame, so
+    every later request returns the same object.
+    """
+    if frame._gram_projection is None:
+        eps = defects(frame).parseval_eps
+        if eps > PARSEVAL_ATOL:
+            raise ValueError(
+                f"frame is not Parseval: defect {eps:.3e} exceeds {PARSEVAL_ATOL:.0e}"
+            )
+        # Wrap tolerance is looser than the gate: a frame at the gate boundary
+        # produces a Gram whose idempotency defect is of the same order.
+        frame._gram_projection = Projection(gram(frame), atol=10.0 * PARSEVAL_ATOL)
+    return frame._gram_projection
 
 
 def frame_from_projection(p: Projection) -> Frame:

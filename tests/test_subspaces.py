@@ -217,6 +217,13 @@ class TestProjectionFromFrame:
         with pytest.raises(ValueError, match="not Parseval"):
             projection_from_frame(f)
 
+    def test_frame_keeps_its_projection(self, eigh_calls):
+        f = random_parseval(3, 8, 55)
+        eigh_calls.clear()
+        p = projection_from_frame(f)
+        assert projection_from_frame(f) is p
+        assert eigh_calls == [(8, 8)]
+
     def test_roundtrip_through_frame_from_projection(self):
         p = projection_from_frame(random_parseval(3, 8, 55))
         f = frame_from_projection(p)

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from framekit import RankDeficientError, derive_seed, sweep
+from framekit import Projection, RankDeficientError, derive_seed, sweep
 from framekit.sweep import CSV_COLUMNS, ExperimentConfig, run_sweep
 
 # Acceptance criterion 11's grid.  Its CSV bytes are pinned so that a change
@@ -70,3 +70,20 @@ def test_errors_outside_the_numerical_ones_still_propagate(monkeypatch):
     monkeypatch.setattr(sweep, "perturb", failing)
     with pytest.raises(TypeError):
         run_sweep(ExperimentConfig.from_dict(SMALL), jobs=1)
+
+
+def test_trial_builds_each_projection_once(monkeypatch):
+    # Gram of the Parseval input (chain 4, chain 2 and the Naimark check),
+    # Gram of the extracted frame (chain 2's lift), Gram of the solution
+    # (chain 4 and chain 2), the complement, and the complement's solution.
+    built = []
+    init = Projection.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Projection, "__init__", counting)
+    row = sweep.run_trial(3, 8, 0.05, 1234, 1e-10, 10000)
+    assert row["chain8"] is not None
+    assert len(built) == 5
