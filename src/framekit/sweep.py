@@ -10,7 +10,6 @@ block after the rows reports the worst observed distance/(eps*M) per cell.
 
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,6 +223,10 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> str:
             tasks.append((m, n, eps, trial_seed, config.tolerance, config.max_iterations))
     workers = worker_count(jobs, len(tasks), os.cpu_count())
     if workers > 1:
+        # Imported here so that a one-worker sweep and every other CLI
+        # command start without loading multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_worker, tasks, chunksize=4))
     else:

@@ -40,6 +40,13 @@ def perturbed_file(tmp_path):
     return str(path)
 
 
+def test_cli_import_leaves_multiprocessing_unloaded():
+    code = "import sys, framekit.cli; print('multiprocessing' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
 class TestCheck:
     def test_harmonic_frame_reports_zero_defects(self, harmonic_file):
         res = run_cli("check", harmonic_file)
@@ -235,6 +242,13 @@ class TestVerify:
         assert res.returncode == 0
         assert "[PASS]" in res.stdout
         assert "FAIL" not in res.stdout
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_exit_2(self, capsys, trials):
+        assert cli.main(["verify", "--suite", "geometry", "--trials", trials]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "trials must be at least 1" in out.err
 
 
 class TestNaimark:
