@@ -17,7 +17,7 @@ SMALL = {
     "tolerance": 1e-10,
     "output_path": "small.csv",
 }
-SMALL_SHA256 = "0d5f22d8bf6cc310bca85596aabc4096ea645ad72850da41b03d2413b27ff7db"
+SMALL_SHA256 = "32f49e58cf9161f71733d76ff22ab919b7f71e4fbdd840b0f93e27592e256f4a"
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -25,12 +25,12 @@ PINNED_WORSTS = {
     },
     ("equivalence", 6): {
         "frame-to-projection-factor-4": "0.0",
-        "solved-gram-constant-diagonal": "6.661338147750939e-16",
+        "solved-gram-constant-diagonal": "4.440892098500626e-16",
         "projection-to-frame-factor-2": "0.0",
         "projection-frame-extraction": "3.7938235754766644e-15",
         "solver-beats-unconstrained-nearest": "0.0",
-        "solver-unitary-invariant-distance": "3.3219954564955856e-16",
-        "solver-permutation-equivariant": "7.374265220192466e-15",
+        "solver-unitary-invariant-distance": "2.246466901389965e-16",
+        "solver-permutation-equivariant": "5.3154825979522264e-15",
     },
     ("naimark", 6): {
         "complement-gram-identity": "3.632644708155834e-15",
@@ -45,7 +45,7 @@ PINNED_WORSTS = {
         "spectrum-admissibility-verdicts": "0.0",
         "identity-spectrum-agreement": "0.0",
         "prescribed-norm-solver-hits-targets": "5.551115123125783e-16",
-        "prescribed-norm-solver-parseval": "8.923639605029621e-11",
+        "prescribed-norm-solver-parseval": "4.519828955551475e-12",
     },
 }
 
