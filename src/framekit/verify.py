@@ -474,9 +474,9 @@ SUITES = {
 def run_suite(name: str, seed: int = 0, trials: int | None = None) -> list[PropertyCheck]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    if trials is not None and trials < 1:
-        # no trials would check nothing, and every check would pass
-        raise ValueError(f"trials must be at least 1, got {trials}")
     if trials is None:
         return SUITES[name](seed=seed)
+    if trials < 1:
+        # no trials would check nothing, and every check would pass
+        raise ValueError(f"trials must be at least 1, got {trials}")
     return SUITES[name](seed=seed, trials=trials)
