@@ -8,6 +8,7 @@ Complex entries are always two-element ``[re, im]`` arrays.
 """
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -30,10 +31,21 @@ __all__ = [
 
 def complex_array_to_lists(a: np.ndarray) -> list:
     """2-D complex array -> nested lists of [re, im] pairs."""
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(a)]
+    a = np.asarray(a)
+    return np.stack((a.real, a.imag), axis=-1).tolist()
 
 
 def lists_to_complex_array(rows, name: str) -> np.ndarray:
+    """Nested lists of [re, im] pairs -> 2-D complex array.
+
+    Well-formed input (lists of equal-length nonempty lists of two-element
+    lists of ``int`` or ``float``, not ``bool``) is decoded in one array
+    pass; anything else goes through the per-entry loop, which names the
+    first offending row or entry.
+    """
+    fast = _decode_well_formed(rows)
+    if fast is not None:
+        return fast
     if not isinstance(rows, list) or not rows:
         raise ValueError(f"{name} must be a nonempty list of rows")
     width = None
@@ -53,9 +65,34 @@ def lists_to_complex_array(rows, name: str) -> np.ndarray:
                 or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
             ):
                 raise ValueError(f"{name}[{i}][{j}] must be a two-element [re, im] array")
-            vals.append(complex(entry[0], entry[1]))
+            try:
+                vals.append(complex(entry[0], entry[1]))
+            except OverflowError:
+                raise ValueError(f"{name}[{i}][{j}] has an integer too large for a float") from None
         out.append(vals)
     return np.array(out, dtype=np.complex128)
+
+
+def _decode_well_formed(rows) -> np.ndarray | None:
+    """The (N, M) complex array of ``rows`` when every container is a list,
+    every row has the same nonzero length, every entry two elements and
+    every scalar is an ``int`` or ``float`` that fits a float64; None
+    otherwise.  Each check runs over a whole level at C speed, and the flat
+    float64 array is reinterpreted as complex128 without a copy, which gives
+    the bits of ``complex(re, im)`` per entry."""
+    if type(rows) is not list or set(map(type, rows)) != {list} or len(set(map(len, rows))) != 1:
+        return None
+    entries = list(chain.from_iterable(rows))
+    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
+        return None
+    flat = list(chain.from_iterable(entries))
+    if not set(map(type, flat)) <= {int, float}:
+        return None
+    try:
+        a = np.array(flat, dtype=np.float64)
+    except OverflowError:
+        return None
+    return a.view(np.complex128).reshape(len(rows), -1)
 
 
 def frame_to_dict(frame: Frame) -> dict:
