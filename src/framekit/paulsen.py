@@ -92,6 +92,17 @@ STAGNATION_DEFECT_RATIO = 1e-3
 STALL_ITERATIONS = 20
 STALL_GAIN = 4.0 * float(np.finfo(np.float64).eps)
 
+# Why a solve stopped, as ``PaulsenInstance.stop_reason`` reports it.  Only
+# "converged" meets the tolerance; see ``_alternating_solve`` for the rest.
+STOP_REASONS = (
+    "converged",
+    "max_iterations",
+    "monotone_break",
+    "span_floor",
+    "stagnated",
+    "stalled",
+)
+
 # perturb stops bisecting its amplitude once the bracket [lo, hi] satisfies
 # hi - lo <= PERTURB_BRACKET_RTOL * hi, and gives up (keeping the largest
 # amplitude found within the cap) after PERTURB_MAX_ATTEMPTS candidates.
@@ -121,8 +132,9 @@ class PaulsenInstance:
 
     ``eps`` is the maximum input defect; ``bound_16eM`` the empirical
     reference value 16 * eps * M that the harness reports against but never
-    asserts.  For converged instances the solution has both defects at or
-    below the solver tolerance.
+    asserts.  ``stop_reason`` is one of ``STOP_REASONS``; the instance is
+    converged when it is "converged", and then the solution has both
+    defects at or below the solver tolerance.
     """
 
     input_frame: Frame
@@ -131,9 +143,13 @@ class PaulsenInstance:
     solution: Frame
     distance: float
     iterations: int
-    converged: bool
+    stop_reason: str
     degenerate: bool
     bound_16eM: float
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
     @classmethod
     def solve(
@@ -143,9 +159,7 @@ class PaulsenInstance:
         squared norms ``targets_sq`` and record the result, with ``eps`` as
         the input defect it reports."""
         d = defects(frame)
-        vectors, iterations, converged, degenerate = _alternating_solve(
-            frame.vectors, targets_sq, cfg
-        )
+        vectors, iterations, stop_reason, degenerate = _alternating_solve(frame, targets_sq, cfg)
         solution = Frame(vectors)
         return cls(
             input_frame=frame,
@@ -154,7 +168,7 @@ class PaulsenInstance:
             solution=solution,
             distance=frame_distance(frame, solution),
             iterations=iterations,
-            converged=converged,
+            stop_reason=stop_reason,
             degenerate=degenerate,
             bound_16eM=16.0 * eps * frame.dim,
         )
@@ -164,8 +178,8 @@ class PaulsenInstance:
         solver stopped short of its tolerance."""
         if not self.converged:
             raise ConvergenceError(
-                f"solver stopped after {self.iterations} iterations without "
-                f"reaching tolerance; best iterate defect "
+                f"solver stopped ({self.stop_reason}) after {self.iterations} "
+                f"iterations without reaching tolerance; best iterate defect "
                 f"{defects(self.solution).max():.3e}"
             )
         return self
@@ -347,10 +361,14 @@ def near_parseval_frame(eps: float, m: int, n: int, seed) -> Frame:
 
 def _spectrum(v: np.ndarray, targets_sq: np.ndarray):
     """Eigendecomposition of the frame operator of ``v`` and its two defects:
-    (evals, evecs, parseval_eps, norm_eps)."""
+    (evals, evecs, parseval_eps, norm_eps), eigenvalues ascending."""
     s = v.T @ v.conj()
     s = 0.5 * (s + s.conj().T)
     evals, evecs = np.linalg.eigh(s)
+    return _with_defects(evals, evecs, v, targets_sq)
+
+
+def _with_defects(evals, evecs, v: np.ndarray, targets_sq: np.ndarray):
     parseval_eps = max(1.0 - float(evals[0]), float(evals[-1]) - 1.0)
     norms_sq = (np.abs(v) ** 2).sum(axis=1)
     norm_eps = float(np.abs(norms_sq / targets_sq - 1.0).max())
@@ -378,10 +396,11 @@ def _anderson_candidate(g, f, df, dg, gram_df, targets):
     return cand * (targets / norms)[:, None]
 
 
-def _alternating_solve(v0: np.ndarray, targets_sq: np.ndarray, cfg: SolverConfig):
-    """Core loop on the raw (N, M) vector array.
+def _alternating_solve(frame: Frame, targets_sq: np.ndarray, cfg: SolverConfig):
+    """Core loop on the raw (N, M) vector array of ``frame``, whose kept
+    eigendecomposition serves as the first step's.
 
-    Returns (vectors, iterations, converged, degenerate).
+    Returns (vectors, iterations, stop_reason, degenerate).
 
     Each iteration applies the alternating map G(v) = rescale(v S(v)^{-1/2})
     and then mixes G(v) with the images of up to ``ANDERSON_DEPTH`` earlier
@@ -392,23 +411,24 @@ def _alternating_solve(v0: np.ndarray, targets_sq: np.ndarray, cfg: SolverConfig
     combined defect does not exceed the current iterate's; otherwise the plain
     image G(v) is taken (one more ``eigh``) and the history is cleared.
 
-    The loop stops in one of four ways besides the iteration cap and the
-    span floor:
+    The loop stops for one of the ``STOP_REASONS``:
 
     * converged: both defects at or below the tolerance;
-    * monotone break: the combined defect rose by more than MONOTONE_SLACK
+    * max_iterations: ``cfg.max_iterations`` steps were taken;
+    * monotone_break: the combined defect rose by more than MONOTONE_SLACK
       between successive full iterates; the best iterate is kept;
-    * stagnation: ||G(v) - v||_F is at rounding level relative to ||v||_F
+    * span_floor: the iterate's frame operator fell to the spanning floor;
+    * stagnated: ||G(v) - v||_F is at rounding level relative to ||v||_F
       while the tolerance is unmet, so v is a fixed point of G that is not
       equal-norm Parseval;
-    * stall: the best combined defect has not improved by more than
+    * stalled: the best combined defect has not improved by more than
       ``STALL_GAIN`` for ``STALL_ITERATIONS`` iterations, as happens once
       the defects sit at rounding level above a tolerance below that level.
 
     A vector that G maps to zero restarts in a random unit direction, seeded
     from the input's bytes, and sets ``degenerate``.
     """
-    v = start = np.array(v0, dtype=np.complex128)
+    v = start = frame.vectors
     targets = np.sqrt(targets_sq)
     # Ring buffers of residual and image differences, and the Gram matrix
     # of the residual differences, updated one row and column per step.
@@ -421,9 +441,13 @@ def _alternating_solve(v0: np.ndarray, targets_sq: np.ndarray, cfg: SolverConfig
     best, best_defect, gain_it = v, np.inf, 0
     prev_combined = np.inf
     degenerate = False
-    converged = False
     iterations = 0
-    evals, evecs, parseval_eps, norm_eps = _spectrum(v, targets_sq)
+    # The Frame's eigh made these bits from the same product; its descending
+    # order is reversed into contiguous copies, since matmul's rounding
+    # depends on operand layout.
+    evals = np.ascontiguousarray(frame._eig.eigenvalues[::-1])
+    evecs = np.ascontiguousarray(frame._eig.eigenvectors[:, ::-1])
+    evals, evecs, parseval_eps, norm_eps = _with_defects(evals, evecs, v, targets_sq)
     for it in range(cfg.max_iterations + 1):
         combined = max(parseval_eps, norm_eps)
         # No copy: every array v is bound to is fresh and never written.
@@ -433,19 +457,24 @@ def _alternating_solve(v0: np.ndarray, targets_sq: np.ndarray, cfg: SolverConfig
             best, best_defect = v, combined
         iterations = it
         if parseval_eps <= cfg.tolerance and norm_eps <= cfg.tolerance:
-            best = v
-            converged = True
+            best, stop_reason = v, "converged"
             break
         if it - gain_it >= STALL_ITERATIONS:
+            stop_reason = "stalled"
             break
         # Monotonicity is enforced between successive full iterates only.
         # The input may sit on one constraint set with its whole defect in
         # the other measure, and the first round can trade a norm defect for
         # a marginally larger spectrum defect.
         if it >= 2 and combined > prev_combined + MONOTONE_SLACK:
+            stop_reason = "monotone_break"
             break
         prev_combined = combined
-        if it == cfg.max_iterations or float(evals[0]) <= SPAN_EIG_FLOOR * float(evals[-1]):
+        if it == cfg.max_iterations:
+            stop_reason = "max_iterations"
+            break
+        if float(evals[0]) <= SPAN_EIG_FLOOR * float(evals[-1]):
+            stop_reason = "span_floor"
             break
         g = v @ ((evecs * evals**-0.5) @ evecs.conj().T).T
         norms = _row_norms(g)
@@ -466,6 +495,7 @@ def _alternating_solve(v0: np.ndarray, targets_sq: np.ndarray, cfg: SolverConfig
         # trace S(v) = ||v||_F^2
         step = math.sqrt(np.vdot(f, f).real / float(evals.sum()))
         if step <= STAGNATION_RTOL and step <= STAGNATION_DEFECT_RATIO * combined:
+            stop_reason = "stagnated"
             break
         if f_prev is not None:
             df[head] = f - f_prev
@@ -493,7 +523,7 @@ def _alternating_solve(v0: np.ndarray, targets_sq: np.ndarray, cfg: SolverConfig
             stored = head = 0
         v = g
         evals, evecs, parseval_eps, norm_eps = _spectrum(v, targets_sq)
-    return best, iterations, converged, degenerate
+    return best, iterations, stop_reason, degenerate
 
 
 def nearest_equal_norm_parseval(frame: Frame, cfg: SolverConfig | None = None) -> PaulsenInstance:

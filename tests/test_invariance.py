@@ -1,5 +1,6 @@
 """Property tests: the solved distance does not depend on the order of the
-vectors or on a unitary change of basis."""
+vectors or on a unitary change of basis, and the canonical Parseval frame
+and the solve do not depend on the input's scale."""
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from framekit import (
     Frame,
+    canonical_parseval,
     haar_unitary,
     nearest_equal_norm_parseval,
     perturb,
@@ -38,3 +40,13 @@ def test_distance_invariant_under_permutation_and_unitary(instance):
     assert base.converged and permuted.converged and rotated.converged
     assert abs(permuted.distance - base.distance) <= 1e-8
     assert abs(rotated.distance - base.distance) <= 1e-8
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(instances(), st.floats(-7.0, 7.0))
+def test_canonical_parseval_and_solve_do_not_depend_on_scale(instance, log10_c):
+    f, _ = instance
+    scaled = Frame(10.0**log10_c * f.vectors)
+    diff = canonical_parseval(scaled).vectors - canonical_parseval(f).vectors
+    assert np.max(np.abs(diff)) <= 1e-12
+    assert nearest_equal_norm_parseval(scaled).converged

@@ -20,6 +20,7 @@ from framekit import (
     harmonic_frame,
     hs_norm,
     nearest_equal_norm_parseval,
+    paulsen,
     perturb,
     projection_from_frame,
     random_equal_norm_parseval,
@@ -221,20 +222,20 @@ class TestNearestEqualNormParseval:
         assert inst.iterations <= 80
 
     def test_at_most_one_extra_eigh_per_iteration(self, eigh_calls):
-        # Besides one decomposition per iteration, a solve makes one for its
-        # start and one for the solution Frame, plus one for the plain image
-        # whenever a mixed candidate fails the defect guard.  Every candidate
-        # passes on the first input; one fails on the second.
+        # Besides one decomposition per iteration, a solve makes one for the
+        # solution Frame (its start reuses the input Frame's), plus one for
+        # the plain image whenever a mixed candidate fails the defect guard.
+        # Every candidate passes on the first input; one fails on the second.
         f = perturb(random_equal_norm_parseval(6, 18, 4), 0.1, 4)
         eigh_calls.clear()
         inst = nearest_equal_norm_parseval(f)
         assert inst.converged
-        assert len(eigh_calls) == inst.iterations + 2
+        assert len(eigh_calls) == inst.iterations + 1
         f = perturb(random_equal_norm_parseval(4, 5, 1121), 0.05, 5121)
         eigh_calls.clear()
         inst = nearest_equal_norm_parseval(f)
         assert inst.converged
-        assert inst.iterations + 2 < len(eigh_calls) <= 2 * inst.iterations + 2
+        assert inst.iterations + 1 < len(eigh_calls) <= 2 * inst.iterations + 1
 
     def test_tight_tolerance_still_converges(self):
         # the stagnation stop must not fire on steps that still make progress
@@ -292,6 +293,64 @@ class TestNearestEqualNormParseval:
             prev = combined
             if combined <= 1e-10:
                 break
+
+
+class TestStopReasons:
+    """Each solve names why it stopped; these are the reasons an input can
+    reach, and the two that no input has reached are checked through their
+    constants."""
+
+    def test_converged(self):
+        inst = nearest_equal_norm_parseval(perturb(random_equal_norm_parseval(3, 7, 1), 0.05, 1))
+        assert inst.stop_reason == "converged" and inst.converged
+
+    def test_max_iterations(self):
+        f = perturb(random_equal_norm_parseval(6, 18, 4), 0.1, 4)
+        inst = nearest_equal_norm_parseval(f, SolverConfig(max_iterations=2))
+        assert inst.stop_reason == "max_iterations" and not inst.converged
+        assert inst.iterations == 2
+
+    def test_stagnated(self):
+        v = math.sqrt(2 / 3) * np.array([[1, 0], [0, 1], [1, 0]], dtype=complex)
+        inst = nearest_equal_norm_parseval(Frame(v))
+        assert inst.stop_reason == "stagnated" and not inst.converged
+
+    def test_stalled(self):
+        f = perturb(random_equal_norm_parseval(3, 7, 1), 0.05, 1)
+        inst = nearest_equal_norm_parseval(f, SolverConfig(tolerance=1e-16))
+        assert inst.stop_reason == "stalled" and not inst.converged
+
+    def test_monotone_break_with_no_slack_for_a_rise(self, monkeypatch):
+        # no input has been seen to raise the combined defect between full
+        # iterates; a negative slack makes the first compared step break
+        f = perturb(random_equal_norm_parseval(3, 7, 1), 0.05, 1)
+        monkeypatch.setattr(paulsen, "MONOTONE_SLACK", -1.0)
+        inst = nearest_equal_norm_parseval(f)
+        assert inst.stop_reason == "monotone_break" and inst.iterations == 2
+
+    def test_span_floor_with_a_floor_above_every_spectrum(self, monkeypatch):
+        # a spanning input keeps spanning under the map, so only a floor
+        # raised past lambda_min / lambda_max = 1 reaches this stop
+        f = perturb(random_equal_norm_parseval(3, 7, 1), 0.05, 1)
+        monkeypatch.setattr(paulsen, "SPAN_EIG_FLOOR", 2.0)
+        inst = nearest_equal_norm_parseval(f)
+        assert inst.stop_reason == "span_floor" and inst.iterations == 0
+
+    def test_require_converged_names_the_reason(self):
+        f = perturb(random_equal_norm_parseval(6, 18, 4), 0.1, 4)
+        inst = nearest_equal_norm_parseval(f, SolverConfig(max_iterations=2))
+        with pytest.raises(ConvergenceError, match=r"stopped \(max_iterations\) after 2 iterations"):
+            inst.require_converged()
+
+    def test_every_reason_is_listed(self):
+        assert set(paulsen.STOP_REASONS) == {
+            "converged",
+            "max_iterations",
+            "monotone_break",
+            "span_floor",
+            "stagnated",
+            "stalled",
+        }
 
 
 class TestEquivalenceChains:
