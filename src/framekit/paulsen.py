@@ -70,10 +70,11 @@ MONOTONE_SLACK = 1e-12
 ZERO_VECTOR_NORM = 1e-14
 
 # Number of earlier iterates whose images the Anderson step mixes.  A
-# deeper window takes fewer iterations (against a 5-deep one, 78 -> 60 per
-# solve at (40, 120) and 27 -> 23 per complement solve at N - M = 18 to 26)
-# for two (depth, N*M) history buffers.
-ANDERSON_DEPTH = 12
+# deeper window takes fewer iterations (against a 12-deep one, 58.5 -> 48.75
+# per solve at (40, 120) and 22.9 -> 20.4 per complement solve at N - M = 18
+# to 26; solves that end before the window fills do not change) for two
+# (depth, N*M) history buffers.
+ANDERSON_DEPTH = 16
 
 # A step ||G(v) - v||_F at or below STAGNATION_RTOL * ||v||_F is rounding.
 # Near an equal-norm Parseval frame the step stays above a fixed fraction of

@@ -221,6 +221,13 @@ class TestNearestEqualNormParseval:
         assert inst.converged
         assert inst.iterations <= 80
 
+    def test_window_depth_iteration_count(self):
+        # 56 iterations with a 12-deep Anderson window, 52 with 16
+        f = perturb(random_equal_norm_parseval(40, 120, 1), 0.05, 2)
+        inst = nearest_equal_norm_parseval(f)
+        assert inst.converged
+        assert inst.iterations <= 54
+
     def test_at_most_one_extra_eigh_per_iteration(self, eigh_calls):
         # Besides one decomposition per iteration, a solve makes one for the
         # solution Frame (its start reuses the input Frame's), plus one for
