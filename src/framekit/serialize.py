@@ -106,7 +106,7 @@ def frame_from_dict(d: dict) -> Frame:
         if key not in d:
             raise ValueError(f"frame JSON is missing field {key!r}")
     dim = d["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise ValueError(f"field 'dim' must be a positive integer, got {dim!r}")
     vectors = lists_to_complex_array(d["vectors"], "vectors")
     if vectors.shape[1] != dim:
@@ -142,7 +142,7 @@ def admissibility_query_from_dict(d: dict) -> tuple[AdmissibleSequence, Spectrum
         if key not in d:
             raise ValueError(f"admissibility query is missing field {key!r}")
     m = d["M"]
-    if not isinstance(m, int) or m < 1:
+    if type(m) is not int or m < 1:
         raise ValueError(f"field 'M' must be a positive integer, got {m!r}")
     seq = AdmissibleSequence(d["a"], m)
     spectrum = SpectrumSpec(d["lambda"]) if d.get("lambda") is not None else None

@@ -48,6 +48,14 @@ def test_frame_dict_validation():
         frame_from_dict({"dim": 3, "vectors": [[[1.0, 0.0], [0.0, 0.0]]]})
 
 
+def test_boolean_counts_rejected():
+    # JSON true is a Python bool, which isinstance(..., int) would accept as 1
+    with pytest.raises(ValueError, match="'dim' must be a positive integer, got True"):
+        frame_from_dict({"dim": True, "vectors": [[[1.0, 0.0]], [[0.5, 0.0]]]})
+    with pytest.raises(ValueError, match="'M' must be a positive integer, got True"):
+        admissibility_query_from_dict({"a": [1.0, 0.5], "M": True})
+
+
 def test_ragged_rows_rejected():
     with pytest.raises(ValueError, match="expected"):
         lists_to_complex_array([[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]], "rows")
