@@ -93,17 +93,6 @@ STAGNATION_DEFECT_RATIO = 1e-3
 STALL_ITERATIONS = 20
 STALL_GAIN = 4.0 * float(np.finfo(np.float64).eps)
 
-# Why a solve stopped, as ``PaulsenInstance.stop_reason`` reports it.  Only
-# "converged" meets the tolerance; see ``_alternating_solve`` for the rest.
-STOP_REASONS = (
-    "converged",
-    "max_iterations",
-    "monotone_break",
-    "span_floor",
-    "stagnated",
-    "stalled",
-)
-
 # perturb stops bisecting its amplitude once the bracket [lo, hi] satisfies
 # hi - lo <= PERTURB_BRACKET_RTOL * hi, and gives up (keeping the largest
 # amplitude found within the cap) after PERTURB_MAX_ATTEMPTS candidates.
@@ -133,9 +122,11 @@ class PaulsenInstance:
 
     ``eps`` is the maximum input defect; ``bound_16eM`` the empirical
     reference value 16 * eps * M that the harness reports against but never
-    asserts.  ``stop_reason`` is one of ``STOP_REASONS``; the instance is
-    converged when it is "converged", and then the solution has both
-    defects at or below the solver tolerance.
+    asserts.  ``stop_reason`` says why the solver stopped: "converged",
+    "max_iterations", "monotone_break", "span_floor", "stagnated" or
+    "stalled" (see ``_alternating_solve``).  The instance is converged only
+    for the first, and then the solution has both defects at or below the
+    solver tolerance.
     """
 
     input_frame: Frame
@@ -412,7 +403,7 @@ def _alternating_solve(frame: Frame, targets_sq: np.ndarray, cfg: SolverConfig):
     combined defect does not exceed the current iterate's; otherwise the plain
     image G(v) is taken (one more ``eigh``) and the history is cleared.
 
-    The loop stops for one of the ``STOP_REASONS``:
+    The loop stops for one of these reasons:
 
     * converged: both defects at or below the tolerance;
     * max_iterations: ``cfg.max_iterations`` steps were taken;
