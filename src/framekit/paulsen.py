@@ -442,7 +442,7 @@ def _alternating_solve(frame: Frame, targets_sq: np.ndarray, cfg: SolverConfig):
     evals, evecs, parseval_eps, norm_eps = _with_defects(evals, evecs, v, targets_sq)
     for it in range(cfg.max_iterations + 1):
         combined = max(parseval_eps, norm_eps)
-        # No copy: every array v is bound to is fresh and never written.
+        # No copy: v is the read-only input or a fresh array, never written.
         if combined < best_defect:
             if combined < best_defect - STALL_GAIN:
                 gain_it = it

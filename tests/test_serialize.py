@@ -153,8 +153,9 @@ def test_encode_keeps_signed_zero_subnormals_and_range_ends():
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("reduce", [False, True])
 def test_naimark_output_equals_per_entry_encoding(tmp_path, capsys, seed, reduce):
-    # N > 2M at even seeds, so --reduce takes the complement there
-    f = random_parseval(2 + seed % 2, 7, seed)
+    # (2, 7) at even seeds, where --reduce takes the complement, and (4, 7)
+    # at odd ones, where it keeps the frame
+    f = random_parseval(2 + 2 * (seed % 2), 7, seed)
     path = tmp_path / "f.json"
     path.write_text(json.dumps(frame_to_dict(f)))
     if reduce:
