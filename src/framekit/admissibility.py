@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import Frame, defects
+from .frames import Frame, defects, norm_defect, vector_norms_sq
 from .paulsen import PaulsenInstance, SolverConfig
 
 __all__ = [
@@ -150,8 +150,7 @@ def is_S_admissible(seq: AdmissibleSequence, spectrum: SpectrumSpec) -> Admissib
 
 def prescribed_norm_defect(frame: Frame, seq: AdmissibleSequence) -> float:
     """Smallest eps with (1-eps) a_i^2 <= ||f_i||^2 <= (1+eps) a_i^2 (original order)."""
-    norms_sq = np.sum(np.abs(frame.vectors) ** 2, axis=1)
-    return float(np.max(np.abs(norms_sq / seq.original**2 - 1.0)))
+    return norm_defect(vector_norms_sq(frame), seq.original**2)
 
 
 def nearest_prescribed_norm_parseval(

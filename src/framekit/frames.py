@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, herm_eig, hs_norm, inv_sqrt_eig
+from .linalg import as_matrix, clears_floor, herm_eig, hs_norm, inv_sqrt_eig
 
 __all__ = [
     "RankDeficientError",
@@ -29,14 +29,14 @@ __all__ = [
     "frame_bounds",
     "gram",
     "vector_norms_sq",
+    "parseval_defect",
+    "norm_defect",
     "defects",
     "canonical_parseval",
     "frame_distance",
     "frame_potential",
     "analysis_image_distance",
 ]
-
-SPAN_EIG_FLOOR = 1e-12
 
 
 class RankDeficientError(ValueError):
@@ -48,11 +48,11 @@ class Frame:
 
     Construction validates finiteness of the vectors and of their frame
     operator (vectors so large that it overflows are rejected with a
-    ``ValueError``) and the spanning property (smallest
-    frame-operator eigenvalue above ``SPAN_EIG_FLOOR`` times the largest);
-    rank-deficient vector lists are rejected outright.  The eigendecomposition
-    of the frame operator made for that check is kept, and every reader of
-    the spectrum reuses it.  A Parseval frame likewise keeps its Gram
+    ``ValueError``) and the spanning property (the frame-operator spectrum
+    passes :func:`framekit.linalg.clears_floor`); rank-deficient vector
+    lists are rejected outright.  The eigendecomposition of the frame
+    operator made for that check is kept, and every reader of the spectrum
+    reuses it.  A Parseval frame likewise keeps its Gram
     projection once :func:`framekit.subspaces.projection_from_frame` has
     built it.  Instances are immutable.
     """
@@ -77,7 +77,7 @@ class Frame:
         eig = herm_eig(s)
         lam_min = float(eig.eigenvalues[-1])
         lam_max = float(eig.eigenvalues[0])
-        if lam_min <= SPAN_EIG_FLOOR * lam_max:
+        if not clears_floor(lam_min, lam_max):
             raise RankDeficientError(
                 f"vectors do not span C^{m}: smallest frame-operator eigenvalue "
                 f"{lam_min:.3e}, largest {lam_max:.3e}"
@@ -107,12 +107,8 @@ class Frame:
 
 @dataclass(frozen=True)
 class FrameDefects:
-    """How far a frame is from Parseval and from equal norm.
-
-    ``parseval_eps`` is the smallest eps with (1-eps) I <= S <= (1+eps) I;
-    ``equal_norm_eps`` the smallest eps with
-    (1-eps) M/N <= ||f_i||^2 <= (1+eps) M/N for every i.
-    """
+    """How far a frame is from Parseval (:func:`parseval_defect`) and from
+    equal norm (:func:`norm_defect` against targets M/N)."""
 
     parseval_eps: float
     equal_norm_eps: float
@@ -151,13 +147,22 @@ def vector_norms_sq(frame: Frame) -> np.ndarray:
     return np.sum(np.abs(frame.vectors) ** 2, axis=1)
 
 
+def parseval_defect(lam_min: float, lam_max: float) -> float:
+    """Smallest eps with (1-eps) I <= S <= (1+eps) I, for a frame operator S
+    with extreme eigenvalues ``lam_min`` and ``lam_max``."""
+    return max(1.0 - float(lam_min), float(lam_max) - 1.0)
+
+
+def norm_defect(norms_sq: np.ndarray, targets_sq) -> float:
+    """Smallest eps with (1-eps) t_i <= ||f_i||^2 <= (1+eps) t_i for every i,
+    where ``targets_sq`` holds the t_i or one t for all."""
+    return float(np.abs(norms_sq / targets_sq - 1.0).max())
+
+
 def defects(frame: Frame) -> FrameDefects:
-    a, b = frame_bounds(frame)
-    norms_sq = vector_norms_sq(frame)
-    target = frame.dim / frame.n_vectors
     return FrameDefects(
-        parseval_eps=max(1.0 - a, b - 1.0),
-        equal_norm_eps=float(np.max(np.abs(norms_sq / target - 1.0))),
+        parseval_eps=parseval_defect(*frame_bounds(frame)),
+        equal_norm_eps=norm_defect(vector_norms_sq(frame), frame.dim / frame.n_vectors),
     )
 
 

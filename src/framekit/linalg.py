@@ -26,6 +26,7 @@ __all__ = [
     "hs_norm",
     "herm_eig",
     "svd",
+    "clears_floor",
     "inv_sqrt_eig",
     "inv_sqrt_psd",
 ]
@@ -94,30 +95,34 @@ def svd(a) -> Svd:
     return Svd(u, s, vh.conj().T)
 
 
-def inv_sqrt_eig(decomp: HermEig, eig_floor: float = EIG_FLOOR) -> np.ndarray:
+def clears_floor(lam_min: float, lam_max: float) -> bool:
+    """Whether the smallest eigenvalue lies above ``EIG_FLOOR`` times the
+    largest, a test that does not depend on the matrix's scale."""
+    return bool(lam_min > EIG_FLOOR * lam_max)
+
+
+def inv_sqrt_eig(decomp: HermEig) -> np.ndarray:
     """Inverse square root of a Hermitian matrix from its eigendecomposition.
 
     Returns the Hermitian R with R @ S @ R = I.  Raises
-    :class:`SingularMatrixError` when the smallest eigenvalue does not clear
-    ``eig_floor`` times the largest, so the test does not depend on the
-    matrix's scale.
+    :class:`SingularMatrixError` when the spectrum fails :func:`clears_floor`.
     """
     lam_min = float(decomp.eigenvalues[-1])
     lam_max = float(decomp.eigenvalues[0])
-    if lam_min <= eig_floor * lam_max:
+    if not clears_floor(lam_min, lam_max):
         raise SingularMatrixError(
             f"matrix is numerically singular: smallest eigenvalue "
-            f"{lam_min:.6e} <= {eig_floor:.0e} x largest eigenvalue {lam_max:.6e}"
+            f"{lam_min:.6e} <= {EIG_FLOOR:.0e} x largest eigenvalue {lam_max:.6e}"
         )
     v = decomp.eigenvectors
     r = (v * decomp.eigenvalues**-0.5) @ v.conj().T
     return 0.5 * (r + r.conj().T)
 
 
-def inv_sqrt_psd(s, eig_floor: float = EIG_FLOOR) -> np.ndarray:
+def inv_sqrt_psd(s) -> np.ndarray:
     """Inverse square root of a Hermitian positive-definite matrix.
 
     The input is symmetrized and decomposed by :func:`herm_eig`; see
     :func:`inv_sqrt_eig` for the result and the singularity test.
     """
-    return inv_sqrt_eig(herm_eig(s), eig_floor)
+    return inv_sqrt_eig(herm_eig(s))

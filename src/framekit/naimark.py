@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frames import Frame, defects, frame_distance, gram
-from .paulsen import PaulsenInstance, SolverConfig, chain_ratio, nearest_equal_norm_parseval
+from .paulsen import PaulsenInstance, SolverConfig, chain_bound, nearest_equal_norm_parseval
 from .subspaces import (
     PARSEVAL_ATOL,
     Projection,
@@ -49,7 +49,7 @@ def naimark_complement(frame: Frame) -> Frame:
 class NaimarkReductionReport:
     """Per-instance check of the complement route: solve the equal-norm
     problem on the complement, map the solved Gram back, lift, and compare
-    d(F, lifted) against 8x the complement distance."""
+    d(F, lifted) against 8x the complement distance; ``bound_slack`` is the excess."""
 
     equal_norm_eps: float
     complement_equal_norm_eps: float
@@ -58,6 +58,7 @@ class NaimarkReductionReport:
     projection_distance: float
     lift_distance: float
     ratio: float
+    bound_slack: float
     within_bound: bool
     complement_instance: PaulsenInstance
 
@@ -79,9 +80,8 @@ def naimark_reduction_check(frame: Frame, cfg: SolverConfig | None = None) -> Na
         complement_distance=instance.distance,
         projection_distance=dist,
         lift_distance=lift_distance,
-        ratio=chain_ratio(lift_distance, instance.distance),
-        within_bound=lift_distance <= 8.0 * instance.distance + 1e-8,
         complement_instance=instance,
+        **chain_bound(lift_distance, 8.0, instance.distance),
     )
 
 

@@ -10,12 +10,12 @@ accelerated: the new image is mixed with the images of the last few
 iterates, the mix is rescaled onto the norm set, and it is kept only when
 its combined defect does not exceed the current iterate's; otherwise the
 plain image is taken and the mixing history is cleared.  Iteration stops
-when both defects fall below the configured tolerance (converged), when the
-combined defect rises between plain steps (monotone break), when a step
-no longer moves the frame beyond rounding (stagnation at a fixed point that
-is not equal-norm Parseval), or when the best defect has stopped improving
-(stall at the rounding floor).  Non-convergence is reported explicitly with
-the best iterate, never silently.
+when both defects fall below the configured tolerance (converged), when a
+step no longer moves the frame beyond rounding (stagnation at a fixed point
+that is not equal-norm Parseval), when the best defect has stopped improving
+(stall, at the rounding floor or on a rising defect), when the iterate stops
+spanning (span floor), or at the iteration cap.  Non-convergence is reported
+explicitly with the best iterate, never silently.
 """
 
 import math
@@ -25,16 +25,17 @@ import numpy as np
 
 from ._seeding import derive_seed
 from .frames import (
-    SPAN_EIG_FLOOR,
     Frame,
-    FrameDefects,
     RankDeficientError,
     canonical_parseval,
     defects,
     frame_distance,
     gram,
     hs_norm,
+    norm_defect,
+    parseval_defect,
 )
+from .linalg import clears_floor
 from .subspaces import (
     diagonal_defect,
     frame_from_projection,
@@ -58,14 +59,10 @@ __all__ = [
     "parseval_pair",
     "near_parseval_frame",
     "nearest_equal_norm_parseval",
-    "chain_ratio",
+    "chain_bound",
     "equivalence_chain_frame_to_projection",
     "equivalence_chain_projection_to_frame",
 ]
-
-# Combined-defect increase tolerated between iterations before a run is
-# demoted to non-converged.
-MONOTONE_SLACK = 1e-12
 
 ZERO_VECTOR_NORM = 1e-14
 
@@ -88,8 +85,8 @@ STAGNATION_DEFECT_RATIO = 1e-3
 # A solve whose best combined defect has not improved by more than
 # STALL_GAIN (a few rounding units of the order-1 quantities the defects
 # compare) for STALL_ITERATIONS iterations has reached the rounding floor of
-# its defects: it stops unconverged instead of running to ``max_iterations``
-# when the tolerance lies below that floor.
+# its defects, or its defect is rising: it stops unconverged with its best
+# iterate instead of running to ``max_iterations``.
 STALL_ITERATIONS = 20
 STALL_GAIN = 4.0 * float(np.finfo(np.float64).eps)
 
@@ -123,14 +120,12 @@ class PaulsenInstance:
     ``eps`` is the maximum input defect; ``bound_16eM`` the empirical
     reference value 16 * eps * M that the harness reports against but never
     asserts.  ``stop_reason`` says why the solver stopped: "converged",
-    "max_iterations", "monotone_break", "span_floor", "stagnated" or
-    "stalled" (see ``_alternating_solve``).  The instance is converged only
-    for the first, and then the solution has both defects at or below the
-    solver tolerance.
+    "max_iterations", "span_floor", "stagnated" or "stalled" (see
+    ``_alternating_solve``).  The instance is converged only for the first,
+    and then the solution has both defects at or below the solver tolerance.
     """
 
     input_frame: Frame
-    defects: FrameDefects
     eps: float
     solution: Frame
     distance: float
@@ -150,12 +145,10 @@ class PaulsenInstance:
         """Run the alternating solver from ``frame`` towards the per-vector
         squared norms ``targets_sq`` and record the result, with ``eps`` as
         the input defect it reports."""
-        d = defects(frame)
         vectors, iterations, stop_reason, degenerate = _alternating_solve(frame, targets_sq, cfg)
         solution = Frame(vectors)
         return cls(
             input_frame=frame,
-            defects=d,
             eps=eps,
             solution=solution,
             distance=frame_distance(frame, solution),
@@ -239,10 +232,10 @@ def perturb(frame: Frame, eps: float, seed) -> Frame:
     whose defects stay at or below the cap, so outputs sit within about
     that fraction of the cap.  Each candidate amplitude is scored from the
     eigenvalues of its M x M frame operator and its row norms, with the
-    spanning floor and defect definitions of :class:`Frame` and
-    :func:`defects`; only the returned frame is constructed, and its own
-    defects are checked against the cap, stepping the amplitude back by the
-    bracket tolerance in the rare case that rounding puts it over.
+    spanning test of :class:`Frame` and the defects of :func:`defects`;
+    only the returned frame is constructed, and its own defects are checked
+    against the cap, stepping the amplitude back by the bracket tolerance in
+    the rare case that rounding puts it over.
     """
     d = defects(frame)
     if d.max() > 1e-9:
@@ -266,11 +259,10 @@ def perturb(frame: Frame, eps: float, seed) -> Frame:
         v = frame.vectors + t * direction
         s = v.T @ v.conj()
         evals = np.linalg.eigvalsh(0.5 * (s + s.conj().T))
-        if float(evals[0]) <= SPAN_EIG_FLOOR * float(evals[-1]):
+        if not clears_floor(evals[0], evals[-1]):
             return False
-        parseval_eps = max(1.0 - float(evals[0]), float(evals[-1]) - 1.0)
         norms_sq = np.sum(np.abs(v) ** 2, axis=1)
-        return max(parseval_eps, float(np.max(np.abs(norms_sq / target - 1.0)))) <= eps
+        return max(parseval_defect(evals[0], evals[-1]), norm_defect(norms_sq, target)) <= eps
 
     # t = 0 is the input itself, within the cap by the checks above; hi is
     # the smallest amplitude seen to exceed it.
@@ -300,11 +292,11 @@ def _wiggle(frame: Frame, amplitude: float, seed) -> Frame:
     return Frame(frame.vectors + d)
 
 
-def random_projection_pair(seed, max_rank: int = 8, max_size: int = 32):
-    """Random equal-rank projection pair; half the draws are nearby pairs."""
+def random_projection_pair(seed):
+    """Random equal-rank projection pair of rank <= 8 and size <= 32; half are nearby."""
     rng = np.random.default_rng(seed)
-    m = int(rng.integers(1, max_rank + 1))
-    n = int(rng.integers(m, max_size + 1))
+    m = int(rng.integers(1, 9))
+    n = int(rng.integers(m, 33))
     p_frame = random_parseval(m, n, derive_seed(seed, "p"))
     p = projection_from_frame(p_frame)
     if rng.integers(2):
@@ -361,10 +353,8 @@ def _spectrum(v: np.ndarray, targets_sq: np.ndarray):
 
 
 def _with_defects(evals, evecs, v: np.ndarray, targets_sq: np.ndarray):
-    parseval_eps = max(1.0 - float(evals[0]), float(evals[-1]) - 1.0)
     norms_sq = (np.abs(v) ** 2).sum(axis=1)
-    norm_eps = float(np.abs(norms_sq / targets_sq - 1.0).max())
-    return evals, evecs, parseval_eps, norm_eps
+    return evals, evecs, parseval_defect(evals[0], evals[-1]), norm_defect(norms_sq, targets_sq)
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
@@ -407,15 +397,19 @@ def _alternating_solve(frame: Frame, targets_sq: np.ndarray, cfg: SolverConfig):
 
     * converged: both defects at or below the tolerance;
     * max_iterations: ``cfg.max_iterations`` steps were taken;
-    * monotone_break: the combined defect rose by more than MONOTONE_SLACK
-      between successive full iterates; the best iterate is kept;
-    * span_floor: the iterate's frame operator fell to the spanning floor;
+    * span_floor: the iterate's frame operator fails
+      :func:`framekit.linalg.clears_floor`, which prescribed targets spread
+      over more than 12 orders of magnitude can reach;
     * stagnated: ||G(v) - v||_F is at rounding level relative to ||v||_F
       while the tolerance is unmet, so v is a fixed point of G that is not
       equal-norm Parseval;
     * stalled: the best combined defect has not improved by more than
       ``STALL_GAIN`` for ``STALL_ITERATIONS`` iterations, as happens once
-      the defects sit at rounding level above a tolerance below that level.
+      the defects sit at rounding level above a tolerance below that level
+      or once the defect rises and stays above its best.
+
+    Every stop returns the best iterate, so the solution's combined defect
+    never exceeds the input's.
 
     A vector that G maps to zero restarts in a random unit direction, seeded
     from the input's bytes, and sets ``degenerate``.
@@ -431,9 +425,7 @@ def _alternating_solve(frame: Frame, targets_sq: np.ndarray, cfg: SolverConfig):
     f_prev = g_prev = None
     rng = None
     best, best_defect, gain_it = v, np.inf, 0
-    prev_combined = np.inf
     degenerate = False
-    iterations = 0
     # The Frame's eigh made these bits from the same product; its descending
     # order is reversed into contiguous copies, since matmul's rounding
     # depends on operand layout.
@@ -447,25 +439,16 @@ def _alternating_solve(frame: Frame, targets_sq: np.ndarray, cfg: SolverConfig):
             if combined < best_defect - STALL_GAIN:
                 gain_it = it
             best, best_defect = v, combined
-        iterations = it
         if parseval_eps <= cfg.tolerance and norm_eps <= cfg.tolerance:
             best, stop_reason = v, "converged"
             break
         if it - gain_it >= STALL_ITERATIONS:
             stop_reason = "stalled"
             break
-        # Monotonicity is enforced between successive full iterates only.
-        # The input may sit on one constraint set with its whole defect in
-        # the other measure, and the first round can trade a norm defect for
-        # a marginally larger spectrum defect.
-        if it >= 2 and combined > prev_combined + MONOTONE_SLACK:
-            stop_reason = "monotone_break"
-            break
-        prev_combined = combined
         if it == cfg.max_iterations:
             stop_reason = "max_iterations"
             break
-        if float(evals[0]) <= SPAN_EIG_FLOOR * float(evals[-1]):
+        if not clears_floor(evals[0], evals[-1]):
             stop_reason = "span_floor"
             break
         g = v @ ((evecs * evals**-0.5) @ evecs.conj().T).T
@@ -507,7 +490,7 @@ def _alternating_solve(frame: Frame, targets_sq: np.ndarray, cfg: SolverConfig):
                 cand_evals, _, cand_parseval, cand_norm = spectrum
                 if (
                     max(cand_parseval, cand_norm) <= combined
-                    and float(cand_evals[0]) > SPAN_EIG_FLOOR * float(cand_evals[-1])
+                    and clears_floor(cand_evals[0], cand_evals[-1])
                 ):
                     v = cand
                     evals, evecs, parseval_eps, norm_eps = spectrum
@@ -515,7 +498,8 @@ def _alternating_solve(frame: Frame, targets_sq: np.ndarray, cfg: SolverConfig):
             stored = head = 0
         v = g
         evals, evecs, parseval_eps, norm_eps = _spectrum(v, targets_sq)
-    return best, iterations, stop_reason, degenerate
+    # The loop always breaks, at it == cfg.max_iterations at the latest.
+    return best, it, stop_reason, degenerate
 
 
 def nearest_equal_norm_parseval(frame: Frame, cfg: SolverConfig | None = None) -> PaulsenInstance:
@@ -530,32 +514,40 @@ def nearest_equal_norm_parseval(frame: Frame, cfg: SolverConfig | None = None) -
 # equivalence chains
 
 
-def chain_ratio(num: float, den: float, atol: float = 1e-12) -> float:
-    """Observed ratio ``num / den`` of a chain's two distances: 0 when both
-    are within ``atol`` of zero, infinite when only ``den`` is."""
-    if den > atol:
-        return num / den
-    return 0.0 if num <= atol else math.inf
+def chain_bound(distance: float, factor: float, reference: float) -> dict:
+    """The report fields of a chain that bounds ``distance`` by ``factor``
+    times ``reference``: the observed ``ratio`` distance / reference (0 when
+    both are within 1e-12 of zero, infinite when only ``reference`` is), the
+    ``bound_slack`` distance - factor * reference, and ``within_bound``,
+    whether that slack is at most 1e-8."""
+    slack = distance - factor * reference
+    if reference > 1e-12:
+        ratio = distance / reference
+    else:
+        ratio = 0.0 if distance <= 1e-12 else math.inf
+    return {"ratio": ratio, "bound_slack": slack, "within_bound": slack <= 1e-8}
 
 
 @dataclass(frozen=True)
 class FrameToProjectionReport:
     """Per-instance check that a solved frame instance induces a nearby
-    constant-diagonal projection at distance at most 4x the frame distance."""
+    constant-diagonal projection at distance at most 4x the frame distance;
+    ``bound_slack`` is the excess over 4x (see :func:`chain_bound`)."""
 
     eps: float
     paulsen_distance: float
     projection_distance: float
     ratio: float
+    bound_slack: float
     within_bound: bool
     solution_diagonal_defect: float
-    instance: PaulsenInstance
 
 
 @dataclass(frozen=True)
 class ProjectionToFrameReport:
     """Per-instance check that a near-constant-diagonal projection lifts to a
-    frame instance at distance at most 2x the projection distance."""
+    frame instance at distance at most 2x the projection distance;
+    ``bound_slack`` is the excess over 2x (see :func:`chain_bound`)."""
 
     eps: float
     extraction_residual: float
@@ -563,13 +555,13 @@ class ProjectionToFrameReport:
     projection_distance: float
     lift_distance: float
     ratio: float
+    bound_slack: float
     within_bound: bool
-    instance: PaulsenInstance
 
 
 def equivalence_chain_frame_to_projection(instance: PaulsenInstance) -> FrameToProjectionReport:
-    """Form Q = Gram(solution) of a solved instance and verify
-    d(Gram F, Q) <= 4 * d(F, solution) + 1e-8 with Q constant-diagonal.
+    """Form Q = Gram(solution) of a solved instance and check
+    d(Gram F, Q) <= 4 * d(F, solution) with Q constant-diagonal.
 
     The input frame F must be Parseval (``ValueError`` otherwise) and the
     instance converged (:class:`ConvergenceError` otherwise).
@@ -584,17 +576,15 @@ def equivalence_chain_frame_to_projection(instance: PaulsenInstance) -> FrameToP
         eps=instance.eps,
         paulsen_distance=delta,
         projection_distance=dist,
-        ratio=chain_ratio(dist, delta),
-        within_bound=dist <= 4.0 * delta + 1e-8,
         solution_diagonal_defect=q_defect,
-        instance=instance,
+        **chain_bound(dist, 4.0, delta),
     )
 
 
 def equivalence_chain_projection_to_frame(instance: PaulsenInstance) -> ProjectionToFrameReport:
     """Take P = Gram F of a solved instance's Parseval input F, extract the
     Parseval frame realizing P, and lift Q = Gram(solution) back to it,
-    verifying d(extracted, lifted) <= 2 * d(P, Q) + 1e-8.
+    checking d(extracted, lifted) <= 2 * d(P, Q).
 
     The extracted frame equals F up to a unitary change of basis, and the
     solver is unitarily equivariant, so the instance's solve of F stands in
@@ -620,7 +610,5 @@ def equivalence_chain_projection_to_frame(instance: PaulsenInstance) -> Projecti
         paulsen_distance=instance.distance,
         projection_distance=dist,
         lift_distance=lift_distance,
-        ratio=chain_ratio(lift_distance, dist),
-        within_bound=lift_distance <= 2.0 * dist + 1e-8,
-        instance=instance,
+        **chain_bound(lift_distance, 2.0, dist),
     )

@@ -126,6 +126,9 @@ def projection_from_dict(d: dict) -> Projection:
     for key in ("size", "rank", "matrix"):
         if key not in d:
             raise ValueError(f"projection JSON is missing field {key!r}")
+    for key in ("size", "rank"):
+        if type(d[key]) is not int or d[key] < 1:
+            raise ValueError(f"field {key!r} must be a positive integer, got {d[key]!r}")
     matrix = lists_to_complex_array(d["matrix"], "matrix")
     p = Projection(matrix)
     if p.size != d["size"]:

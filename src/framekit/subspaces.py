@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import Frame, analysis_matrix, defects, gram
+from .frames import Frame, analysis_matrix, defects, gram, norm_defect
 from .linalg import as_matrix, herm_eig, hs_norm
 
 __all__ = [
@@ -151,9 +151,7 @@ def frame_from_projection(p: Projection) -> Frame:
 
 def diagonal_defect(p: Projection) -> float:
     """Smallest eps with (1-eps) M/N <= P_ii <= (1+eps) M/N for all i."""
-    diag = np.real(np.diagonal(p.matrix))
-    target = p.rank / p.size
-    return float(np.max(np.abs(diag / target - 1.0)))
+    return norm_defect(np.real(np.diagonal(p.matrix)), p.rank / p.size)
 
 
 def proj_distance(p: Projection, q: Projection) -> float:

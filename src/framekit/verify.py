@@ -25,6 +25,7 @@ from .admissibility import (
     is_parseval_admissible,
     is_S_admissible,
     nearest_prescribed_norm_parseval,
+    prescribed_norm_defect,
 )
 from .frames import (
     Frame,
@@ -303,13 +304,13 @@ def suite_geometry(seed: int = 0, trials: int = 200) -> list[PropertyCheck]:
 def chain4_slacks(r4) -> tuple:
     """Chain 4's report: its projection distance over 4x its frame distance,
     and the solved Gram's diagonal defect."""
-    return r4.projection_distance - 4.0 * r4.paulsen_distance, r4.solution_diagonal_defect
+    return r4.bound_slack, r4.solution_diagonal_defect
 
 
 def chain2_slacks(r2) -> tuple:
     """Chain 2's report: its lift distance over 2x its projection distance,
     and its extraction residual."""
-    return r2.lift_distance - 2.0 * r2.projection_distance, r2.extraction_residual
+    return r2.bound_slack, r2.extraction_residual
 
 
 def solver_slacks(f: Frame, cfg: SolverConfig, rng: np.random.Generator) -> tuple:
@@ -373,7 +374,7 @@ def complement_slacks(f: Frame) -> tuple:
 
 def complement_route_slack(rep) -> float:
     """A Naimark reduction report's lift distance over 8x its complement distance."""
-    return rep.lift_distance - 8.0 * rep.complement_distance
+    return rep.bound_slack
 
 
 def reduction_violation(f: Frame) -> int:
@@ -414,8 +415,7 @@ def prescribed_solver_slacks(f: Frame, seq: AdmissibleSequence, cfg: SolverConfi
     inst = nearest_prescribed_norm_parseval(f, seq, cfg)
     if not inst.converged:
         return 0.0, math.inf
-    hits = float(np.max(np.abs(vector_norms_sq(inst.solution) / seq.original**2 - 1.0)))
-    return hits, defects(inst.solution).parseval_eps
+    return prescribed_norm_defect(inst.solution, seq), defects(inst.solution).parseval_eps
 
 
 def suite_admissible(seed: int = 0, trials: int = 1000) -> list[PropertyCheck]:

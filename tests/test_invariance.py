@@ -1,6 +1,10 @@
 """Property tests: the solved distance does not depend on the order of the
-vectors or on a unitary change of basis, and the canonical Parseval frame
-and the solve do not depend on the input's scale."""
+vectors or on a unitary change of basis, the canonical Parseval frame and
+the solve do not depend on the input's scale, and every solve, converged or
+not, returns an iterate no worse than its input with a documented stop
+reason."""
+
+import re
 
 import numpy as np
 import pytest
@@ -11,12 +15,20 @@ from hypothesis import strategies as st
 
 from framekit import (
     Frame,
+    PaulsenInstance,
+    SolverConfig,
     canonical_parseval,
+    defects,
+    feasible_norm_targets,
     haar_unitary,
     nearest_equal_norm_parseval,
+    nearest_prescribed_norm_parseval,
     perturb,
+    prescribed_norm_defect,
     random_equal_norm_parseval,
 )
+
+STOP_REASONS = set(re.findall(r'"(\w+)"', PaulsenInstance.__doc__))
 
 
 @st.composite
@@ -50,3 +62,23 @@ def test_canonical_parseval_and_solve_do_not_depend_on_scale(instance, log10_c):
     diff = canonical_parseval(scaled).vectors - canonical_parseval(f).vectors
     assert np.max(np.abs(diff)) <= 1e-12
     assert nearest_equal_norm_parseval(scaled).converged
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(instances(), st.integers(1, 30), st.booleans())
+def test_solve_never_worse_than_its_input(instance, max_iterations, prescribed):
+    # A cap of a few iterations stops some solves unconverged; every stop
+    # returns the best iterate, whose defect cannot exceed the input's
+    # (the instance's eps).
+    f, seed = instance
+    n, m = f.vectors.shape
+    cfg = SolverConfig(max_iterations=max_iterations)
+    if prescribed:
+        seq = feasible_norm_targets(m, n, np.random.default_rng(seed))
+        inst = nearest_prescribed_norm_parseval(f, seq, cfg)
+        solved = max(defects(inst.solution).parseval_eps, prescribed_norm_defect(inst.solution, seq))
+    else:
+        inst = nearest_equal_norm_parseval(f, cfg)
+        solved = defects(inst.solution).max()
+    assert inst.stop_reason in STOP_REASONS
+    assert solved <= inst.eps

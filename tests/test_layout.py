@@ -1,6 +1,8 @@
-"""Import layering, read from the source with ``ast``."""
+"""Import layering and the solver's documented stop reasons, read from the
+source with ``ast``."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -82,3 +84,31 @@ def test_only_cli_imports_verify_and_only_for_its_suites():
         and not name.endswith(PROPERTY_SUFFIXES)
     ]
     assert taken == []
+
+
+def _stop_reason_literals(func: ast.FunctionDef) -> set:
+    """The string constants assigned to ``stop_reason`` in ``func``, alone or
+    as part of a tuple assignment."""
+    found = set()
+    for node in ast.walk(func):
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            pairs = [(target, node.value)]
+            if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                pairs = zip(target.elts, node.value.elts)
+            for name, value in pairs:
+                if isinstance(name, ast.Name) and name.id == "stop_reason":
+                    found.add(value.value)
+    return found
+
+
+def test_stop_reasons_match_the_docs():
+    tree = ast.parse((PACKAGE / "paulsen.py").read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    in_code = _stop_reason_literals(defs["_alternating_solve"])
+    in_docstring = set(re.findall(r'"(\w+)"', ast.get_docstring(defs["PaulsenInstance"])))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    solver_section = readme.split("\n## The solver\n")[1].split("\n## ")[0]
+    in_readme = set(re.findall(r"^\* `(\w+)`:", solver_section, flags=re.MULTILINE))
+    assert in_code and in_code == in_docstring == in_readme

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -304,8 +305,9 @@ class TestNearestEqualNormParseval:
 
 class TestStopReasons:
     """Each solve names why it stopped; these are the reasons an input can
-    reach, and the two that no input has reached are checked through their
-    constants."""
+    reach; a rising defect, which no input has shown, and span_floor, which
+    no equal-norm input reaches, are forced through the names the solver
+    reads."""
 
     def test_converged(self):
         inst = nearest_equal_norm_parseval(perturb(random_equal_norm_parseval(3, 7, 1), 0.05, 1))
@@ -327,19 +329,23 @@ class TestStopReasons:
         inst = nearest_equal_norm_parseval(f, SolverConfig(tolerance=1e-16))
         assert inst.stop_reason == "stalled" and not inst.converged
 
-    def test_monotone_break_with_no_slack_for_a_rise(self, monkeypatch):
-        # no input has been seen to raise the combined defect between full
-        # iterates; a negative slack makes the first compared step break
+    def test_stalled_on_a_rising_defect(self, monkeypatch):
+        # no input has been seen to raise the combined defect; a norm defect
+        # that grows with every evaluation makes each iterate look worse
+        # than the last, and the solve ends with the input as its best
         f = perturb(random_equal_norm_parseval(3, 7, 1), 0.05, 1)
-        monkeypatch.setattr(paulsen, "MONOTONE_SLACK", -1.0)
+        calls = itertools.count()
+        monkeypatch.setattr(paulsen, "norm_defect", lambda *args: 1.0 + next(calls))
         inst = nearest_equal_norm_parseval(f)
-        assert inst.stop_reason == "monotone_break" and inst.iterations == 2
+        assert inst.stop_reason == "stalled" and inst.iterations == paulsen.STALL_ITERATIONS
+        assert np.array_equal(inst.solution.vectors, f.vectors)
 
     def test_span_floor_with_a_floor_above_every_spectrum(self, monkeypatch):
         # a spanning input keeps spanning under the map, so only a floor
-        # raised past lambda_min / lambda_max = 1 reaches this stop
+        # raised past lambda_min / lambda_max = 1 reaches this stop; the
+        # solution Frame is still checked against the real floor
         f = perturb(random_equal_norm_parseval(3, 7, 1), 0.05, 1)
-        monkeypatch.setattr(paulsen, "SPAN_EIG_FLOOR", 2.0)
+        monkeypatch.setattr(paulsen, "clears_floor", lambda lo, hi: lo > 2.0 * hi)
         inst = nearest_equal_norm_parseval(f)
         assert inst.stop_reason == "span_floor" and inst.iterations == 0
 

@@ -77,6 +77,14 @@ def test_projection_dict_consistency_checks():
         projection_from_dict(d)
 
 
+@pytest.mark.parametrize("field,value", [("rank", True), ("size", 3.0)])
+def test_projection_dict_rejects_non_integer_size_and_rank(field, value):
+    d = projection_to_dict(projection_from_frame(harmonic_frame(1, 3)))
+    d[field] = value
+    with pytest.raises(ValueError, match=f"'{field}' must be a positive integer, got {value!r}"):
+        projection_from_dict(d)
+
+
 def test_admissibility_query_parsing():
     seq, spec = admissibility_query_from_dict({"a": [1.0, 0.5], "M": 1})
     assert spec is None
