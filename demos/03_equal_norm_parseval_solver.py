@@ -1,7 +1,7 @@
 """The equal-norm Parseval nearness solver and the two equivalence chains.
 
-Perturbed instances are solved by alternating the canonical-Parseval and
-norm-rescaling maps.  Each solved frame instance induces a projection
+Perturbed instances are solved by Newton's method on Barthe's potential
+over the vectors' log-weights.  Each solved frame instance induces a projection
 instance at no more than four times the distance, and each projection
 instance lifts back to a frame instance at no more than twice the
 distance, which is what makes the two problems interchangeable up to

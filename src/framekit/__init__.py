@@ -32,7 +32,7 @@ from .frames import (
     gram,
     vector_norms_sq,
 )
-from .linalg import HermEig, SingularMatrixError, Svd, herm_eig, hs_norm, inv_sqrt_psd, svd
+from .linalg import HermEig, SingularMatrixError, herm_eig, hs_norm, inv_sqrt_psd
 from .naimark import (
     NaimarkReductionReport,
     naimark_branch,

@@ -7,7 +7,7 @@ majorized by the eigenvalues: every leading partial sum of squares stays at
 or below the corresponding eigenvalue partial sum, with equal totals.  Only
 the feasibility tests live here; constructing a realizing frame for an
 arbitrary admissible pair is out of scope.  The prescribed-norm nearness
-solver reuses the alternating iteration with per-vector targets.
+solver reuses the Newton loop with per-vector targets c_i = a_i^2.
 """
 
 from dataclasses import dataclass
@@ -156,7 +156,7 @@ def prescribed_norm_defect(frame: Frame, seq: AdmissibleSequence) -> float:
 def nearest_prescribed_norm_parseval(
     frame: Frame, seq: AdmissibleSequence, cfg: SolverConfig | None = None
 ) -> PaulsenInstance:
-    """Alternating solver with per-vector norm targets a_i (original order).
+    """The Newton solver with per-vector norm targets a_i (original order).
 
     The target sequence must be Parseval admissible for the frame's
     dimension and match its vector count.

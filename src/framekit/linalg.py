@@ -2,16 +2,18 @@
 
 Thin, contract-checked wrappers around LAPACK (via ``numpy.linalg``): the
 validated Hermitian eigendecomposition that every ``Frame`` and
-``Projection`` runs on construction, a thin SVD, and inverse square roots.
+``Projection`` runs on construction, and inverse square roots.
 All routines take and return 2-D ``complex128`` arrays; real input is
 embedded with a zero imaginary part.  Hermitian inputs are symmetrized
 before decomposition to absorb accumulation error.
 
-Not every decomposition goes through here.  The alternating solver's inner
-loop calls ``numpy.linalg.eigh`` directly on its raw array (ascending
-eigenvalues, no validation per iteration); ``subspaces`` calls
-``numpy.linalg.svd`` for principal angles, aligned bases and the frame
-lift; and ``paulsen.haar_unitary`` calls ``numpy.linalg.qr``.
+Not every decomposition goes through here.  The Newton solver calls
+``numpy.linalg`` directly on its raw arrays, with no validation per step:
+``eigh`` of each weighted frame operator (ascending eigenvalues),
+``eigvalsh`` of each iterate's, ``solve`` for each Newton step and ``svd``
+for the closing Procrustes rotation.
+``subspaces`` calls ``numpy.linalg.svd`` for principal angles, aligned bases
+and the frame lift, and ``paulsen.haar_unitary`` calls ``numpy.linalg.qr``.
 """
 
 from typing import NamedTuple
@@ -21,11 +23,9 @@ import numpy as np
 __all__ = [
     "SingularMatrixError",
     "HermEig",
-    "Svd",
     "as_matrix",
     "hs_norm",
     "herm_eig",
-    "svd",
     "clears_floor",
     "inv_sqrt_eig",
     "inv_sqrt_psd",
@@ -43,14 +43,6 @@ class HermEig(NamedTuple):
 
     eigenvalues: np.ndarray  # real, descending
     eigenvectors: np.ndarray  # unitary; column j pairs with eigenvalues[j]
-
-
-class Svd(NamedTuple):
-    """Singular value decomposition A = left @ diag(s) @ right^H."""
-
-    left: np.ndarray
-    singular_values: np.ndarray  # real, nonnegative, descending
-    right: np.ndarray
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -83,16 +75,6 @@ def herm_eig(h) -> HermEig:
     h = 0.5 * (h + h.conj().T)
     evals, evecs = np.linalg.eigh(h)
     return HermEig(np.ascontiguousarray(evals[::-1]), np.ascontiguousarray(evecs[:, ::-1]))
-
-
-def svd(a) -> Svd:
-    """Thin singular value decomposition with A = U diag(s) V^H.
-
-    ``right`` holds V itself (orthonormal columns), not V^H.
-    """
-    a = as_matrix(a, "A")
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    return Svd(u, s, vh.conj().T)
 
 
 def clears_floor(lam_min: float, lam_max: float) -> bool:

@@ -1,20 +1,19 @@
-"""Equal-norm Parseval nearness: every instance generator, the alternating
+"""Equal-norm Parseval nearness: every instance generator, the Newton
 solver, and the per-instance equivalence chains between the frame-side and
 projection-side problems.
 
-The solver alternates the two exact nearest-point maps available in closed
-form: replace the frame by its canonical Parseval frame (nearest Parseval),
-then rescale every vector to the target norm (nearest point on the norm
-constraint set).  That map converges linearly, so each step is Anderson
-accelerated: the new image is mixed with the images of the last few
-iterates, the mix is rescaled onto the norm set, and it is kept only when
-its combined defect does not exceed the current iterate's; otherwise the
-plain image is taken and the mixing history is cleared.  Iteration stops
-when both defects fall below the configured tolerance (converged), when a
-step no longer moves the frame beyond rounding (stagnation at a fixed point
-that is not equal-norm Parseval), when the best defect has stopped improving
-(stall, at the rounding floor or on a rising defect), when the iterate stops
-spanning (span floor), or at the iteration cap.  Non-convergence is reported
+The solver only weights the input's vectors and takes the canonical
+Parseval frame of the result, so it searches over N log-weights.  The
+squared norms of that Parseval frame are the gradient of Barthe's convex
+potential, and its minimiser makes them equal the targets.  A damped
+Newton loop on the potential gets there in a few steps; the iterate is the
+Parseval frame rescaled onto the targets, and the solution is rotated onto
+the input by orthogonal Procrustes.  Iteration stops when both defects fall
+below the configured tolerance (converged), when the Newton system or its
+line search admits no step (stagnated: no weights reach the targets), when
+the best defect has stopped improving (stalled, at the rounding floor or on
+a rising defect), when the first weighted frame operator fails the spanning
+floor (span floor), or at the iteration cap.  Non-convergence is reported
 explicitly with the best iterate, never silently.
 """
 
@@ -66,22 +65,6 @@ __all__ = [
 
 ZERO_VECTOR_NORM = 1e-14
 
-# Number of earlier iterates whose images the Anderson step mixes.  A
-# deeper window takes fewer iterations (against a 12-deep one, 58.5 -> 48.75
-# per solve at (40, 120) and 22.9 -> 20.4 per complement solve at N - M = 18
-# to 26; solves that end before the window fills do not change) for two
-# (depth, N*M) history buffers.
-ANDERSON_DEPTH = 16
-
-# A step ||G(v) - v||_F at or below STAGNATION_RTOL * ||v||_F is rounding.
-# Near an equal-norm Parseval frame the step stays above a fixed fraction of
-# the combined defect (at least 0.057 of it in measured runs down to
-# tolerance 1e-14), so a rounding-level step that is also below
-# STAGNATION_DEFECT_RATIO times the defect marks a fixed point of the map
-# that no iteration will leave.
-STAGNATION_RTOL = 1e-13
-STAGNATION_DEFECT_RATIO = 1e-3
-
 # A solve whose best combined defect has not improved by more than
 # STALL_GAIN (a few rounding units of the order-1 quantities the defects
 # compare) for STALL_ITERATIONS iterations has reached the rounding floor of
@@ -89,6 +72,10 @@ STAGNATION_DEFECT_RATIO = 1e-3
 # iterate instead of running to ``max_iterations``.
 STALL_ITERATIONS = 20
 STALL_GAIN = 4.0 * float(np.finfo(np.float64).eps)
+
+# The line search halves a step at most this many times, down to about 1e-12
+# of its length, before the solve stops stagnated.
+LINE_SEARCH_HALVINGS = 40
 
 # perturb stops bisecting its amplitude once the bracket [lo, hi] satisfies
 # hi - lo <= PERTURB_BRACKET_RTOL * hi, and gives up (keeping the largest
@@ -98,7 +85,7 @@ PERTURB_MAX_ATTEMPTS = 60
 
 
 class ConvergenceError(RuntimeError):
-    """The alternating solver did not reach the requested tolerance."""
+    """The solver did not reach the requested tolerance."""
 
 
 @dataclass(frozen=True)
@@ -119,10 +106,12 @@ class PaulsenInstance:
 
     ``eps`` is the maximum input defect; ``bound_16eM`` the empirical
     reference value 16 * eps * M that the harness reports against but never
-    asserts.  ``stop_reason`` says why the solver stopped: "converged",
-    "max_iterations", "span_floor", "stagnated" or "stalled" (see
-    ``_alternating_solve``).  The instance is converged only for the first,
-    and then the solution has both defects at or below the solver tolerance.
+    asserts.  ``iterations`` counts solver steps: the first rescales onto
+    the targets, the rest are Newton steps.  ``stop_reason`` says why the
+    solver stopped: "converged", "max_iterations", "span_floor", "stagnated"
+    or "stalled" (see ``_newton_solve``).  The instance is converged only for
+    the first, and then the solution has both defects at or below the solver
+    tolerance.
     """
 
     input_frame: Frame
@@ -142,10 +131,10 @@ class PaulsenInstance:
     def solve(
         cls, frame: Frame, targets_sq: np.ndarray, cfg: SolverConfig, eps: float
     ) -> "PaulsenInstance":
-        """Run the alternating solver from ``frame`` towards the per-vector
-        squared norms ``targets_sq`` and record the result, with ``eps`` as
-        the input defect it reports."""
-        vectors, iterations, stop_reason, degenerate = _alternating_solve(frame, targets_sq, cfg)
+        """Run the solver from ``frame`` towards the per-vector squared norms
+        ``targets_sq`` and record the result, with ``eps`` as the input
+        defect it reports."""
+        vectors, iterations, stop_reason, degenerate = _newton_solve(frame, targets_sq, cfg)
         solution = Frame(vectors)
         return cls(
             input_frame=frame,
@@ -343,104 +332,119 @@ def near_parseval_frame(eps: float, m: int, n: int, seed) -> Frame:
 # solver
 
 
-def _spectrum(v: np.ndarray, targets_sq: np.ndarray):
-    """Eigendecomposition of the frame operator of ``v`` and its two defects:
-    (evals, evecs, parseval_eps, norm_eps), eigenvalues ascending."""
-    s = v.T @ v.conj()
-    s = 0.5 * (s + s.conj().T)
-    evals, evecs = np.linalg.eigh(s)
-    return _with_defects(evals, evecs, v, targets_sq)
+def _scaled_parseval(v: np.ndarray, t: np.ndarray, c: np.ndarray, eig=None):
+    """Evaluate Barthe's potential at the log-weights ``t``.
 
-
-def _with_defects(evals, evecs, v: np.ndarray, targets_sq: np.ndarray):
-    norms_sq = (np.abs(v) ** 2).sum(axis=1)
-    return evals, evecs, parseval_defect(evals[0], evals[-1]), norm_defect(norms_sq, targets_sq)
-
-
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    return np.sqrt((np.abs(v) ** 2).sum(axis=1))
-
-
-def _anderson_candidate(g, f, df, dg, gram_df, targets):
-    """The image ``g`` = G(v) minus the image differences ``dg``, weighted so
-    that the same combination of the residual differences ``df`` best cancels
-    the residual ``f`` = G(v) - v, rescaled onto the norm set.  None when the
-    weights cannot be solved for or a mixed vector vanishes or overflows."""
-    try:
-        # Conjugating the vector, not the block, saves a (k, N*M) temporary.
-        gamma = np.linalg.solve(gram_df, (df @ f.conj()).conj())
-    except np.linalg.LinAlgError:
+    From one eigendecomposition of S_t = sum_i e^{t_i} v_i v_i^* (``eig``,
+    eigenvalues ascending, when it is already known) this returns the
+    Parseval frame U with rows e^{t_i/2} v_i S_t^{-1/2} in the eigenbasis of
+    S_t, its squared row norms tau and the potential
+    Phi(t) = log det S_t - <c, t>; or None when S_t fails
+    :func:`framekit.linalg.clears_floor`.  The weights are taken relative to
+    the largest, so that no exponential overflows.
+    """
+    top = t.max()
+    w = np.exp(t - top)
+    if eig is None:
+        s = v.T @ (w[:, None] * v.conj())
+        eig = np.linalg.eigh(0.5 * (s + s.conj().T))
+    evals, evecs = eig
+    if not clears_floor(evals[0], evals[-1]):
         return None
-    cand = (g.ravel() - gamma @ dg).reshape(g.shape)
-    norms = _row_norms(cand)
-    if not np.all((norms >= ZERO_VECTOR_NORM) & np.isfinite(norms)):
-        return None
-    return cand * (targets / norms)[:, None]
+    u = np.sqrt(w)[:, None] * (v @ evecs.conj()) * evals**-0.5
+    tau = (u.real**2 + u.imag**2).sum(axis=1)
+    return u, tau, float(np.log(evals).sum()) + v.shape[1] * top - float(c @ t)
 
 
-def _alternating_solve(frame: Frame, targets_sq: np.ndarray, cfg: SolverConfig):
-    """Core loop on the raw (N, M) vector array of ``frame``, whose kept
-    eigendecomposition serves as the first step's.
+def _newton_solve(frame: Frame, targets_sq: np.ndarray, cfg: SolverConfig):
+    """Damped Newton on Barthe's potential from the raw (N, M) vector array
+    of ``frame``, whose kept eigendecomposition serves as the first
+    evaluation's.
 
     Returns (vectors, iterations, stop_reason, degenerate).
 
-    Each iteration applies the alternating map G(v) = rescale(v S(v)^{-1/2})
-    and then mixes G(v) with the images of up to ``ANDERSON_DEPTH`` earlier
-    iterates (Anderson acceleration, Walker & Ni 2011): the mixing weights
-    minimise the norm of the combined residual G(v) - v over the stored
-    residual differences, solved through their small Gram matrix.  The mixed
-    candidate is rescaled onto the norm set and accepted only when its
-    combined defect does not exceed the current iterate's; otherwise the plain
-    image G(v) is taken (one more ``eigh``) and the history is cleared.
+    Weighting the vectors by e^{t_i} and taking the canonical Parseval frame
+    U of the result gives squared norms tau_i = ||u_i||^2, the gradient of
+    the convex potential Phi(t) = log det(sum_i e^{t_i} v_i v_i^*) - <c, t>
+    for the targets c = ``targets_sq`` (F. Barthe, Invent. Math. 1998).  At
+    tau = c, U is equal-norm Parseval.  The iterate is U rescaled onto the
+    targets, which is also where the first step goes: t = log(c / tau), the
+    image of the alternating map of Tropp, Dhillon, Heath & Strohmer, puts
+    every weight at its scale.  Every later step is a Newton step.  The
+    Hessian is diag(tau) - |P|^2, with P = Gram(U) squared entrywise; the
+    vector of ones is in its kernel, since Phi ignores a common weight, so
+    the step solves (H + 11^T / N) d = c - tau.  A step is halved until Phi
+    does not rise or ||tau - c|| halves; Phi alone cannot judge steps near
+    the optimum, where its changes fall below its rounding.
 
     The loop stops for one of these reasons:
 
-    * converged: both defects at or below the tolerance;
+    * converged: both defects of the input or of an iterate are at or below
+      the tolerance;
     * max_iterations: ``cfg.max_iterations`` steps were taken;
-    * span_floor: the iterate's frame operator fails
-      :func:`framekit.linalg.clears_floor`, which prescribed targets spread
-      over more than 12 orders of magnitude can reach;
-    * stagnated: ||G(v) - v||_F is at rounding level relative to ||v||_F
-      while the tolerance is unmet, so v is a fixed point of G that is not
-      equal-norm Parseval;
+    * span_floor: the first weighted frame operator fails
+      :func:`framekit.linalg.clears_floor`; the line search rejects every
+      later point that fails it;
+    * stagnated: the Newton system leaves more than half of c - tau
+      unsolved, because that part lies in the Hessian's kernel, where no
+      weight changes tau (no weights make the frame equal-norm Parseval, as
+      for a clumped frame); or no step down to 2**-LINE_SEARCH_HALVINGS of
+      the Newton step passes the line search;
     * stalled: the best combined defect has not improved by more than
-      ``STALL_GAIN`` for ``STALL_ITERATIONS`` iterations, as happens once
-      the defects sit at rounding level above a tolerance below that level
-      or once the defect rises and stays above its best.
+      ``STALL_GAIN`` for ``STALL_ITERATIONS`` steps, as happens once the
+      defects sit at rounding level above a tolerance below that level, or
+      once the defect rises and stays above its best.
 
-    Every stop returns the best iterate, so the solution's combined defect
-    never exceeds the input's.
+    Every stop returns the best of the input and the iterates, so the
+    solution's combined defect never exceeds the input's.  A returned
+    iterate is rotated onto the input by the unitary nearest to it
+    (orthogonal Procrustes: one M x M SVD), which can only shorten the
+    distance.
 
-    A vector that G maps to zero restarts in a random unit direction, seeded
-    from the input's bytes, and sets ``degenerate``.
+    A vector that U maps to zero takes no weight; it restarts in a random
+    direction, seeded from the input's bytes, and sets ``degenerate``.
     """
-    v = start = frame.vectors
-    targets = np.sqrt(targets_sq)
-    # Ring buffers of residual and image differences, and the Gram matrix
-    # of the residual differences, updated one row and column per step.
-    df = np.empty((ANDERSON_DEPTH, v.size), dtype=np.complex128)
-    dg = np.empty_like(df)
-    gram_df = np.zeros((ANDERSON_DEPTH, ANDERSON_DEPTH), dtype=np.complex128)
-    stored = head = 0
-    f_prev = g_prev = None
-    rng = None
-    best, best_defect, gain_it = v, np.inf, 0
-    degenerate = False
+    start = frame.vectors
+    evals, evecs = frame._eig
+    best, best_defect = start, max(
+        parseval_defect(evals[-1], evals[0]),
+        norm_defect((np.abs(start) ** 2).sum(axis=1), targets_sq),
+    )
+    if best_defect <= cfg.tolerance:
+        return start, 0, "converged", False
+    n = start.shape[0]
+    v, t = start, np.zeros(n)
     # The Frame's eigh made these bits from the same product; its descending
     # order is reversed into contiguous copies, since matmul's rounding
     # depends on operand layout.
-    evals = np.ascontiguousarray(frame._eig.eigenvalues[::-1])
-    evecs = np.ascontiguousarray(frame._eig.eigenvectors[:, ::-1])
-    evals, evecs, parseval_eps, norm_eps = _with_defects(evals, evecs, v, targets_sq)
+    eig = np.ascontiguousarray(evals[::-1]), np.ascontiguousarray(evecs[:, ::-1])
+    current = _scaled_parseval(v, t, targets_sq, eig)
+    dead = current is not None and current[1] < ZERO_VECTOR_NORM**2
+    degenerate = bool(np.any(dead))
+    if degenerate:
+        rng = np.random.default_rng(derive_seed("restart", start.tobytes()))
+        shape = (int(dead.sum()), v.shape[1])
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        v = current[0]
+        v[dead] = z / np.linalg.norm(z, axis=1)[:, None]
+        current = _scaled_parseval(v, t, targets_sq)
+    gain_it = 0
     for it in range(cfg.max_iterations + 1):
+        if current is None:
+            stop_reason = "span_floor"
+            break
+        u, tau, phi = current
+        x = u * np.sqrt(targets_sq / tau)[:, None]
+        lam = np.linalg.eigvalsh(x.T @ x.conj())
+        parseval_eps = parseval_defect(lam[0], lam[-1])
+        norm_eps = norm_defect((np.abs(x) ** 2).sum(axis=1), targets_sq)
         combined = max(parseval_eps, norm_eps)
-        # No copy: v is the read-only input or a fresh array, never written.
         if combined < best_defect:
             if combined < best_defect - STALL_GAIN:
                 gain_it = it
-            best, best_defect = v, combined
+            best, best_defect = x, combined
         if parseval_eps <= cfg.tolerance and norm_eps <= cfg.tolerance:
-            best, stop_reason = v, "converged"
+            stop_reason = "converged"
             break
         if it - gain_it >= STALL_ITERATIONS:
             stop_reason = "stalled"
@@ -448,63 +452,41 @@ def _alternating_solve(frame: Frame, targets_sq: np.ndarray, cfg: SolverConfig):
         if it == cfg.max_iterations:
             stop_reason = "max_iterations"
             break
-        if not clears_floor(evals[0], evals[-1]):
-            stop_reason = "span_floor"
-            break
-        g = v @ ((evecs * evals**-0.5) @ evecs.conj().T).T
-        norms = _row_norms(g)
-        dead = norms < ZERO_VECTOR_NORM
-        if dead.any():
-            degenerate = True
-            if rng is None:
-                rng = np.random.default_rng(derive_seed("restart", start.tobytes()))
-            shape = (int(dead.sum()), g.shape[1])
-            z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            g[dead] = z / _row_norms(z)[:, None]
-            norms = np.where(dead, 1.0, norms)
-            # A restart is a jump, not a step of G: mix nothing across it.
-            stored = head = 0
-            f_prev = None
-        g = g * (targets / norms)[:, None]
-        f = (g - v).ravel()
-        # trace S(v) = ||v||_F^2
-        step = math.sqrt(np.vdot(f, f).real / float(evals.sum()))
-        if step <= STAGNATION_RTOL and step <= STAGNATION_DEFECT_RATIO * combined:
+        shortfall = targets_sq - tau
+        gap = np.linalg.norm(shortfall)
+        if it == 0:
+            step = np.log(targets_sq / tau)
+        else:
+            p = u.conj() @ u.T
+            hessian = np.diag(tau) - (p.real**2 + p.imag**2) + 1.0 / n
+            try:
+                step = np.linalg.solve(hessian, shortfall)
+            except np.linalg.LinAlgError:
+                step = np.linalg.lstsq(hessian, shortfall)[0]
+            if np.linalg.norm(hessian @ step - shortfall) > 0.5 * gap:
+                stop_reason = "stagnated"
+                break
+        for _ in range(LINE_SEARCH_HALVINGS + 1):
+            trial = _scaled_parseval(v, t + step, targets_sq)
+            if trial is not None and (
+                trial[2] <= phi or np.linalg.norm(trial[1] - targets_sq) <= 0.5 * gap
+            ):
+                break
+            step = 0.5 * step
+        else:
             stop_reason = "stagnated"
             break
-        if f_prev is not None:
-            df[head] = f - f_prev
-            dg[head] = (g - g_prev).ravel()
-            stored = min(stored + 1, ANDERSON_DEPTH)
-            row = (df[:stored] @ df[head].conj()).conj()
-            gram_df[:stored, head] = row
-            gram_df[head, :stored] = row.conj()
-            head = (head + 1) % ANDERSON_DEPTH
-        f_prev, g_prev = f, g
-        if stored:
-            cand = _anderson_candidate(
-                g, f, df[:stored], dg[:stored], gram_df[:stored, :stored], targets
-            )
-            if cand is not None:
-                spectrum = _spectrum(cand, targets_sq)
-                cand_evals, _, cand_parseval, cand_norm = spectrum
-                if (
-                    max(cand_parseval, cand_norm) <= combined
-                    and clears_floor(cand_evals[0], cand_evals[-1])
-                ):
-                    v = cand
-                    evals, evecs, parseval_eps, norm_eps = spectrum
-                    continue
-            stored = head = 0
-        v = g
-        evals, evecs, parseval_eps, norm_eps = _spectrum(v, targets_sq)
+        t, current = t + step, trial
     # The loop always breaks, at it == cfg.max_iterations at the latest.
-    return best, it, stop_reason, degenerate
+    if best is start:
+        return start, it, stop_reason, degenerate
+    left, _, right = np.linalg.svd(best.conj().T @ start)
+    return best @ (left @ right), it, stop_reason, degenerate
 
 
 def nearest_equal_norm_parseval(frame: Frame, cfg: SolverConfig | None = None) -> PaulsenInstance:
-    """Solve for the nearest equal-norm Parseval frame by alternating the
-    canonical-Parseval and norm-rescaling maps."""
+    """Solve for a nearest equal-norm Parseval frame by Newton's method on
+    Barthe's potential (see ``_newton_solve``)."""
     cfg = cfg or SolverConfig()
     targets_sq = np.full(frame.n_vectors, frame.dim / frame.n_vectors)
     return PaulsenInstance.solve(frame, targets_sq, cfg, defects(frame).max())

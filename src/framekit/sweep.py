@@ -87,16 +87,16 @@ class ExperimentConfig:
             if not 0.0 < eps < 1.0:
                 raise ValueError(f"eps_list entries must lie in (0, 1), got {eps!r}")
         trials = d["trials_per_cell"]
-        if not isinstance(trials, int) or trials < 1:
+        if type(trials) is not int or trials < 1:
             raise ValueError(f"trials_per_cell must be a positive integer, got {trials!r}")
         seed = d["master_seed"]
-        if not isinstance(seed, int) or seed < 0:
+        if type(seed) is not int or seed < 0:
             raise ValueError(f"master_seed must be a nonnegative integer, got {seed!r}")
         tol = d["tolerance"]
-        if not isinstance(tol, (int, float)) or not 0.0 < tol < 1.0:
+        if type(tol) not in (int, float) or not 0.0 < tol < 1.0:
             raise ValueError(f"tolerance must be a float in (0, 1), got {tol!r}")
         max_iter = d.get("max_iterations", 10000)
-        if not isinstance(max_iter, int) or max_iter < 1:
+        if type(max_iter) is not int or max_iter < 1:
             raise ValueError(f"max_iterations must be a positive integer, got {max_iter!r}")
         out = d["output_path"]
         if not isinstance(out, str) or not out:
@@ -122,18 +122,20 @@ class ExperimentConfig:
                     yield m, n, eps
 
 
+# Numbers are checked with type() rather than isinstance(): JSON true and
+# false decode to bool, a subclass of int.
 def _int_list(v, name: str) -> tuple[int, ...]:
     if (
         not isinstance(v, list)
         or not v
-        or not all(isinstance(x, int) and x >= 1 for x in v)
+        or not all(type(x) is int and x >= 1 for x in v)
     ):
         raise ValueError(f"{name} must be a nonempty list of positive integers")
     return tuple(v)
 
 
 def _float_list(v, name: str) -> tuple[float, ...]:
-    if not isinstance(v, list) or not v or not all(isinstance(x, (int, float)) for x in v):
+    if not isinstance(v, list) or not v or not all(type(x) in (int, float) for x in v):
         raise ValueError(f"{name} must be a nonempty list of numbers")
     return tuple(float(x) for x in v)
 

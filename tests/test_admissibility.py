@@ -150,6 +150,17 @@ class TestPrescribedNormSolver:
             assert defects(inst.solution).parseval_eps <= 1e-10
             assert prescribed_norm_defect(inst.solution, seq) <= 1e-10
 
+    def test_targets_spread_over_thirteen_orders_are_hit(self):
+        # two targets near 5e-14: tau meets them only up to its absolute
+        # rounding, so convergence is judged on the rescaled iterate's own
+        # defects, not on max |tau_i / c_i - 1|
+        f = perturb(random_equal_norm_parseval(3, 6, 1), 0.05, 1)
+        seq = AdmissibleSequence(np.sqrt([0.9, 0.9, 0.9, 0.3 - 1e-13, 5e-14, 5e-14]), 3)
+        inst = nearest_prescribed_norm_parseval(f, seq)
+        assert inst.converged
+        assert defects(inst.solution).parseval_eps <= 1e-10
+        assert prescribed_norm_defect(inst.solution, seq) <= 1e-10
+
     def test_infeasible_targets_rejected(self):
         f = harmonic_frame(2, 4)
         bad = AdmissibleSequence([1.4, 0.2, 0.2, 0.2], 2)

@@ -134,13 +134,13 @@ class TestSolve:
         expected4 = equivalence_chain_frame_to_projection(inst).ratio
         expected2 = equivalence_chain_projection_to_frame(inst).ratio
         runs = []
-        solve = paulsen._alternating_solve
+        solve = paulsen._newton_solve
 
         def counting(*args):
             runs.append(args)
             return solve(*args)
 
-        monkeypatch.setattr(paulsen, "_alternating_solve", counting)
+        monkeypatch.setattr(paulsen, "_newton_solve", counting)
         assert cli.main(["solve", str(path)]) == 0
         report = json.loads(capsys.readouterr().out)
         # one run for the report, reused by both chains
@@ -217,6 +217,12 @@ class TestSweep:
         res = run_cli("sweep", str(path))
         assert res.returncode == 2
         assert "N >= M" in res.stderr
+
+    def test_boolean_dimension_exits_2(self, tmp_path):
+        path, _ = self.config(tmp_path, M_range=[True])
+        res = run_cli("sweep", str(path))
+        assert res.returncode == 2
+        assert "M_range" in res.stderr
 
     def test_unknown_key_exits_2(self, tmp_path):
         path, _ = self.config(tmp_path, bogus=1)

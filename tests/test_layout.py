@@ -106,7 +106,7 @@ def _stop_reason_literals(func: ast.FunctionDef) -> set:
 def test_stop_reasons_match_the_docs():
     tree = ast.parse((PACKAGE / "paulsen.py").read_text(encoding="utf-8"))
     defs = {node.name: node for node in tree.body if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
-    in_code = _stop_reason_literals(defs["_alternating_solve"])
+    in_code = _stop_reason_literals(defs["_newton_solve"])
     in_docstring = set(re.findall(r'"(\w+)"', ast.get_docstring(defs["PaulsenInstance"])))
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     solver_section = readme.split("\n## The solver\n")[1].split("\n## ")[0]

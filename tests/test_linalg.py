@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from framekit.linalg import SingularMatrixError, as_matrix, herm_eig, hs_norm, inv_sqrt_psd, svd
+from framekit.linalg import SingularMatrixError, as_matrix, herm_eig, hs_norm, inv_sqrt_psd
 
 from conftest import complex_gaussian
 
@@ -42,28 +42,6 @@ def test_herm_eig_projection_eigenvalues_near_01(rng):
         evals = herm_eig(p).eigenvalues
         dist = np.minimum(np.abs(evals), np.abs(evals - 1.0))
         assert np.max(dist) <= 1e-8
-
-
-def test_svd_zero_matrix():
-    out = svd(np.zeros((4, 2)))
-    assert np.allclose(out.singular_values, 0.0)
-
-
-def test_svd_isometry_has_unit_singular_values(rng):
-    q, _ = np.linalg.qr(complex_gaussian(rng, (7, 3)))
-    out = svd(q)
-    assert np.allclose(out.singular_values, 1.0, atol=1e-12)
-
-
-def test_svd_orthonormal_factors_and_reconstruction(rng):
-    for _ in range(100):
-        a = complex_gaussian(rng, (6, 3))
-        out = svd(a)
-        u, s, v = out
-        assert hs_norm(u.conj().T @ u - np.eye(3)) <= 1e-9
-        assert hs_norm(v.conj().T @ v - np.eye(3)) <= 1e-9
-        assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
-        assert hs_norm(a - (u * s) @ v.conj().T) <= 1e-9 * max(1.0, hs_norm(a))
 
 
 def test_inv_sqrt_identity():

@@ -10,7 +10,6 @@ from framekit import (
     naimark_branch,
     naimark_complement,
     naimark_reduction_check,
-    paulsen,
     perturb,
     random_equal_norm_parseval,
     random_parseval,
@@ -70,20 +69,16 @@ class TestReductionCheck:
             assert rep.within_bound
             assert rep.complement_equal_norm_eps <= rep.transfer_bound + 1e-9
 
-    def test_wide_grid_complement_solve_iterations(self, monkeypatch):
+    def test_wide_grid_complement_solve_steps(self):
         # The complement solve of the wide-grid trial (M, N, eps) = (6, 30,
-        # 0.05), master seed 11, trial 0, in dimension 24.  It takes 29
-        # iterations with the 12-deep Anderson window and 41 with a 5-deep one.
+        # 0.05), master seed 11, trial 0, in dimension 24.  It took 26
+        # iterations with the Anderson-accelerated map.
         seed = derive_seed(11, 6, 30, 0.05, 0)
         base = random_equal_norm_parseval(6, 30, derive_seed(seed, "base"))
         fp = canonical_parseval(perturb(base, 0.05, derive_seed(seed, "perturb")))
-
-        def iterations():
-            return naimark_reduction_check(fp).complement_instance.iterations
-
-        assert iterations() <= 32
-        monkeypatch.setattr(paulsen, "ANDERSON_DEPTH", 5)
-        assert iterations() > 32
+        instance = naimark_reduction_check(fp).complement_instance
+        assert instance.converged
+        assert instance.iterations <= 4
 
     def test_wide_frame_complement_branch(self):
         f = canonical_parseval(perturb(random_equal_norm_parseval(2, 6, 17), 0.05, 17))

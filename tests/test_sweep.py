@@ -17,13 +17,30 @@ SMALL = {
     "tolerance": 1e-10,
     "output_path": "small.csv",
 }
-SMALL_SHA256 = "32f49e58cf9161f71733d76ff22ab919b7f71e4fbdd840b0f93e27592e256f4a"
+SMALL_SHA256 = "2225d1c266eb9b9a513223688939c96467ee3486757354ddf105155b3c854a4a"
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_small_sweep_bytes_are_pinned(jobs):
     csv_text = run_sweep(ExperimentConfig.from_dict(SMALL), jobs=jobs)
     assert hashlib.sha256(csv_text.encode()).hexdigest() == SMALL_SHA256
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("M_range", [True]),
+        ("N_range", [4, True]),
+        ("trials_per_cell", True),
+        ("master_seed", True),
+        ("master_seed", False),
+        ("max_iterations", True),
+    ],
+)
+def test_json_booleans_are_not_counts(key, value):
+    # JSON true decodes to bool, which isinstance(..., int) accepts as 1
+    with pytest.raises(ValueError, match=key):
+        ExperimentConfig.from_dict({**SMALL, key: value})
 
 
 def _rows(csv_text):
