@@ -15,6 +15,7 @@ from framekit import (
     AdmissibleSequence,
     SpectrumSpec,
     canonical_parseval,
+    complement_defect_bound,
     defects,
     gram,
     harmonic_frame,
@@ -43,7 +44,7 @@ g = canonical_parseval(perturb(harmonic_frame(2, 6), 0.08, seed=5))
 eps = defects(g).equal_norm_eps
 comp_eps = defects(naimark_complement(g)).equal_norm_eps
 print(f"frame defect {eps:.5f} -> complement defect {comp_eps:.5f} "
-      f"(bound {eps * 2 / 4:.5f})")
+      f"(bound {complement_defect_bound(eps, 2, 6):.5f})")
 
 print()
 print("=== solving through the complement costs at most a factor 8 ===")

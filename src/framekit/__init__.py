@@ -35,6 +35,7 @@ from .frames import (
 from .linalg import HermEig, SingularMatrixError, herm_eig, hs_norm, inv_sqrt_psd
 from .naimark import (
     NaimarkReductionReport,
+    complement_defect_bound,
     naimark_branch,
     naimark_complement,
     naimark_reduction_check,

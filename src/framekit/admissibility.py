@@ -170,4 +170,7 @@ def nearest_prescribed_norm_parseval(
     if not verdict:
         raise ValueError(f"norm sequence is not admissible: {verdict.violated}")
     eps = max(defects(frame).parseval_eps, prescribed_norm_defect(frame, seq))
-    return PaulsenInstance.solve(frame, seq.original**2, cfg, eps)
+    # The verdict admits squares summing to M within SUM_SLACK, above a solve's
+    # tolerance; a Parseval frame's squared norms sum to M, so the solve aims there.
+    targets_sq = seq.original**2
+    return PaulsenInstance.solve(frame, targets_sq * (frame.dim / targets_sq.sum()), cfg, eps)

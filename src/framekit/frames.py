@@ -52,12 +52,10 @@ class Frame:
     passes :func:`framekit.linalg.clears_floor`); rank-deficient vector
     lists are rejected outright.  The eigendecomposition of the frame
     operator made for that check is kept, and every reader of the spectrum
-    reuses it.  A Parseval frame likewise keeps its Gram
-    projection once :func:`framekit.subspaces.projection_from_frame` has
-    built it.  Instances are immutable.
+    reuses it.  Instances are immutable.
     """
 
-    __slots__ = ("_vectors", "_eig", "_gram_projection")
+    __slots__ = ("_vectors", "_eig")
 
     def __init__(self, vectors):
         v = as_matrix(vectors, "vectors")
@@ -86,7 +84,6 @@ class Frame:
         eig.eigenvectors.flags.writeable = False
         self._vectors = v
         self._eig = eig
-        self._gram_projection = None
 
     @property
     def vectors(self) -> np.ndarray:

@@ -13,7 +13,8 @@ Not every decomposition goes through here.  The Newton solver calls
 ``eigvalsh`` of each iterate's, ``solve`` for each Newton step and ``svd``
 for the closing Procrustes rotation.
 ``subspaces`` calls ``numpy.linalg.svd`` for principal angles, aligned bases
-and the frame lift, and ``paulsen.haar_unitary`` calls ``numpy.linalg.qr``.
+and every lift's Procrustes rotation, and ``numpy.linalg.qr`` serves
+``naimark``'s complement bases and ``paulsen.haar_unitary``.
 """
 
 from typing import NamedTuple

@@ -1,8 +1,10 @@
 """Naimark complements of Parseval frames and the reduction they induce.
 
 A Parseval frame of N vectors for C^M has Gram matrix P, a rank-M
-projection; the complement frame realizes I - P as the Gram of N vectors in
-dimension N - M.  Norms satisfy ||comp_i||^2 = 1 - ||f_i||^2, so an
+projection, and its analysis matrix is an orthonormal basis of range(P).
+The complement frame realizes I - P as the Gram of N vectors in dimension
+N - M; its analysis matrix, from a complete QR, is an orthonormal basis of
+range(P)'s complement.  Norms satisfy ||comp_i||^2 = 1 - ||f_i||^2, so an
 equal-norm defect eps on the frame transfers to at most eps * M / (N - M)
 on the complement.  Solving the equal-norm nearness problem on the
 complement and lifting back costs at most a factor 8 in distance, which
@@ -13,19 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import Frame, defects, frame_distance, gram
+from .frames import Frame, analysis_image_distance, defects, frame_distance
 from .paulsen import PaulsenInstance, SolverConfig, chain_bound, nearest_equal_norm_parseval
-from .subspaces import (
-    PARSEVAL_ATOL,
-    Projection,
-    frame_from_projection,
-    frame_lift,
-    proj_distance,
-    projection_from_frame,
-)
+from .subspaces import procrustes_rotate, require_parseval
 
 __all__ = [
     "NaimarkReductionReport",
+    "complement_defect_bound",
     "naimark_branch",
     "naimark_complement",
     "naimark_reduction_check",
@@ -33,16 +29,23 @@ __all__ = [
 ]
 
 
+def _complement_vectors(vectors: np.ndarray) -> np.ndarray:
+    """Vectors whose analysis matrix spans range(conj(vectors))'s complement (complete QR)."""
+    q = np.linalg.qr(np.conj(vectors), mode="complete")[0]
+    return np.conj(q[:, vectors.shape[1] :])
+
+
 def naimark_complement(frame: Frame) -> Frame:
     """Parseval frame of N vectors for dimension N - M with Gram I - Gram(F)."""
-    eps = defects(frame).parseval_eps
-    if eps > PARSEVAL_ATOL:
-        raise ValueError(f"frame is not Parseval: defect {eps:.3e} exceeds {PARSEVAL_ATOL:.0e}")
-    n, m = frame.n_vectors, frame.dim
-    if n == m:
+    require_parseval(frame)
+    if frame.n_vectors == frame.dim:
         raise ValueError("complement dimension is zero: frame has n_vectors == dim")
-    comp = Projection(np.eye(n) - gram(frame), atol=max(1e-9, 10.0 * PARSEVAL_ATOL))
-    return frame_from_projection(comp)
+    return Frame(_complement_vectors(frame.vectors))
+
+
+def complement_defect_bound(eps: float, m: int, n: int) -> float:
+    """eps * M / (N - M): the complement's equal-norm defect bound, for F's defect eps."""
+    return eps * m / (n - m)
 
 
 @dataclass(frozen=True)
@@ -66,19 +69,15 @@ class NaimarkReductionReport:
 def naimark_reduction_check(frame: Frame, cfg: SolverConfig | None = None) -> NaimarkReductionReport:
     comp = naimark_complement(frame)
     eps = defects(frame).equal_norm_eps
-    comp_eps = defects(comp).equal_norm_eps
-    n, m = frame.n_vectors, frame.dim
     instance = nearest_equal_norm_parseval(comp, cfg).require_converged()
-    q = Projection(np.eye(n) - gram(instance.solution), atol=1e-7)
-    lifted = frame_lift(frame, q)
-    lift_distance = frame_distance(frame, lifted)
-    dist = proj_distance(projection_from_frame(frame), q)
+    lifted = procrustes_rotate(_complement_vectors(instance.solution.vectors), frame.vectors)
+    lift_distance = frame_distance(frame, Frame(lifted))
     return NaimarkReductionReport(
         equal_norm_eps=eps,
-        complement_equal_norm_eps=comp_eps,
-        transfer_bound=eps * m / (n - m),
+        complement_equal_norm_eps=defects(comp).equal_norm_eps,
+        transfer_bound=complement_defect_bound(eps, frame.dim, frame.n_vectors),
         complement_distance=instance.distance,
-        projection_distance=dist,
+        projection_distance=analysis_image_distance(comp, instance.solution),
         lift_distance=lift_distance,
         complement_instance=instance,
         **chain_bound(lift_distance, 8.0, instance.distance),

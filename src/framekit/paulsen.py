@@ -26,6 +26,7 @@ from ._seeding import derive_seed
 from .frames import (
     Frame,
     RankDeficientError,
+    analysis_image_distance,
     canonical_parseval,
     defects,
     frame_distance,
@@ -38,9 +39,9 @@ from .linalg import clears_floor
 from .subspaces import (
     diagonal_defect,
     frame_from_projection,
-    frame_lift,
-    proj_distance,
+    procrustes_rotate,
     projection_from_frame,
+    require_parseval,
 )
 
 __all__ = [
@@ -480,8 +481,7 @@ def _newton_solve(frame: Frame, targets_sq: np.ndarray, cfg: SolverConfig):
     # The loop always breaks, at it == cfg.max_iterations at the latest.
     if best is start:
         return start, it, stop_reason, degenerate
-    left, _, right = np.linalg.svd(best.conj().T @ start)
-    return best @ (left @ right), it, stop_reason, degenerate
+    return procrustes_rotate(best, start), it, stop_reason, degenerate
 
 
 def nearest_equal_norm_parseval(frame: Frame, cfg: SolverConfig | None = None) -> PaulsenInstance:
@@ -548,17 +548,15 @@ def equivalence_chain_frame_to_projection(instance: PaulsenInstance) -> FrameToP
     The input frame F must be Parseval (``ValueError`` otherwise) and the
     instance converged (:class:`ConvergenceError` otherwise).
     """
-    p = projection_from_frame(instance.input_frame)
+    require_parseval(instance.input_frame)
     instance.require_converged()
-    q = projection_from_frame(instance.solution)
-    q_defect = diagonal_defect(q)
     delta = instance.distance
-    dist = proj_distance(p, q)
+    dist = analysis_image_distance(instance.input_frame, instance.solution)
     return FrameToProjectionReport(
         eps=instance.eps,
         paulsen_distance=delta,
         projection_distance=dist,
-        solution_diagonal_defect=q_defect,
+        solution_diagonal_defect=defects(instance.solution).equal_norm_eps,
         **chain_bound(dist, 4.0, delta),
     )
 
@@ -570,10 +568,10 @@ def equivalence_chain_projection_to_frame(instance: PaulsenInstance) -> Projecti
 
     The extracted frame equals F up to a unitary change of basis, and the
     solver is unitarily equivariant, so the instance's solve of F stands in
-    for a solve of the extracted frame.  F must be Parseval (``ValueError``
-    otherwise) and the instance converged (:class:`ConvergenceError`
-    otherwise).  To start from a projection P, solve
-    ``frame_from_projection(P)``.
+    for a solve of the extracted frame.  F must be Parseval and P's diagonal
+    defect below 1 (``ValueError`` otherwise) and the instance converged
+    (:class:`ConvergenceError` otherwise).  To start from a projection P,
+    solve ``frame_from_projection(P)``.
     """
     p = projection_from_frame(instance.input_frame)
     instance.require_converged()
@@ -582,10 +580,9 @@ def equivalence_chain_projection_to_frame(instance: PaulsenInstance) -> Projecti
         raise ValueError(f"projection diagonal defect {eps:.3e} must be < 1")
     f = frame_from_projection(p)
     extraction_residual = hs_norm(gram(f) - p.matrix)
-    q = projection_from_frame(instance.solution)
-    lifted = frame_lift(f, q)
+    lifted = Frame(procrustes_rotate(instance.solution.vectors, f.vectors))
     lift_distance = frame_distance(f, lifted)
-    dist = proj_distance(p, q)
+    dist = analysis_image_distance(instance.input_frame, instance.solution)
     return ProjectionToFrameReport(
         eps=eps,
         extraction_residual=extraction_residual,

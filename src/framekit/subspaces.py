@@ -11,21 +11,22 @@ ranges).  The central quantities:
 * ``aligned_bases``   orthonormal bases paired so that <a_j, b_j> equals the
   j-th cosine (real, nonnegative) and cross inner products vanish
 * ``frame_lift``      given a Parseval frame F and a target projection Q,
-  a Parseval frame G with Gram(G) = Q and
-  sum ||f_i - g_i||^2 <= 2 d(Gram(F), Q)
+  the Parseval frame G with Gram(G) = Q nearest to F (a Procrustes
+  rotation), and sum ||f_i - g_i||^2 <= d(Gram(F), Q)
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import Frame, analysis_matrix, defects, gram, norm_defect
+from .frames import Frame, frame_bounds, gram, norm_defect, parseval_defect
 from .linalg import as_matrix, herm_eig, hs_norm
 
 __all__ = [
     "Projection",
     "PrincipalAngles",
     "AlignedBases",
+    "require_parseval",
     "projection_from_frame",
     "frame_from_projection",
     "diagonal_defect",
@@ -33,6 +34,7 @@ __all__ = [
     "principal_angles",
     "chordal_sq",
     "aligned_bases",
+    "procrustes_rotate",
     "frame_lift",
 ]
 
@@ -123,22 +125,20 @@ class AlignedBases:
         return float(np.sum(np.abs(self.first - self.second) ** 2))
 
 
-def projection_from_frame(frame: Frame) -> Projection:
-    """Gram matrix of a Parseval frame as the projection onto its analysis range.
+def require_parseval(frame: Frame) -> None:
+    """Raise ``ValueError`` unless the frame's Parseval defect is at most
+    ``PARSEVAL_ATOL``, so that its Gram matrix is a projection."""
+    eps = parseval_defect(*frame_bounds(frame))
+    if eps > PARSEVAL_ATOL:
+        raise ValueError(f"frame is not Parseval: defect {eps:.3e} exceeds {PARSEVAL_ATOL:.0e}")
 
-    The projection is built on the first request and kept by the frame, so
-    every later request returns the same object.
-    """
-    if frame._gram_projection is None:
-        eps = defects(frame).parseval_eps
-        if eps > PARSEVAL_ATOL:
-            raise ValueError(
-                f"frame is not Parseval: defect {eps:.3e} exceeds {PARSEVAL_ATOL:.0e}"
-            )
-        # Wrap tolerance is looser than the gate: a frame at the gate boundary
-        # produces a Gram whose idempotency defect is of the same order.
-        frame._gram_projection = Projection(gram(frame), atol=10.0 * PARSEVAL_ATOL)
-    return frame._gram_projection
+
+def projection_from_frame(frame: Frame) -> Projection:
+    """Gram matrix of a Parseval frame as the projection onto its analysis range."""
+    require_parseval(frame)
+    # Wrap tolerance is looser than the gate: a frame at the gate boundary
+    # produces a Gram whose idempotency defect is of the same order.
+    return Projection(gram(frame), atol=10.0 * PARSEVAL_ATOL)
 
 
 def frame_from_projection(p: Projection) -> Frame:
@@ -222,25 +222,24 @@ def aligned_bases(p: Projection, q: Projection) -> AlignedBases:
     return AlignedBases(first=a0 @ u, second=b0 @ vh.conj().T)
 
 
-def frame_lift(frame: Frame, q: Projection) -> Frame:
-    """Parseval frame G with Gram(G) = Q, close to a given Parseval frame F.
+def procrustes_rotate(vectors: np.ndarray, onto: np.ndarray) -> np.ndarray:
+    """(N, M) frame vectors V times the unitary W minimising sum_i ||v_i W - o_i||^2
+    for the vectors O of ``onto`` (orthogonal Procrustes: W = L R for the SVD
+    L S R of V^H O).  Of the frames with V's Gram matrix, this is the nearest to O."""
+    left, _, right = np.linalg.svd(vectors.conj().T @ onto)
+    return vectors @ (left @ right)
 
-    The lift pairs orthonormal bases of range(Gram F) and range(Q) along the
-    principal angles, identifies the basis of range(Gram F) with F itself
-    through the unitary C = A^H T_F, and carries the paired basis of
-    range(Q) back through the same unitary.  The construction guarantees
-    sum_i ||f_i - g_i||^2 = sum_j ||a_j - b_j||^2 <= 2 d(Gram F, Q), and if
+
+def frame_lift(frame: Frame, q: Projection) -> Frame:
+    """Parseval frame G with Gram(G) = Q nearest to a Parseval frame F: the
+    frame of :func:`frame_from_projection` rotated onto F by
+    :func:`procrustes_rotate`.  With c_j the principal cosines of the two
+    ranges, sum_i ||f_i - g_i||^2 = 2 sum_j (1 - c_j) <= d(Gram F, Q), and if
     Q has constant diagonal the output is equal norm.
     """
-    p = projection_from_frame(frame)
+    require_parseval(frame)
     if q.size != frame.n_vectors:
         raise ValueError(f"projection size {q.size} != frame vector count {frame.n_vectors}")
     if q.rank != frame.dim:
         raise ValueError(f"projection rank {q.rank} != frame dimension {frame.dim}")
-    ab = aligned_bases(p, q)
-    c = ab.first.conj().T @ analysis_matrix(frame)
-    unit_defect = hs_norm(c.conj().T @ c - np.eye(frame.dim))
-    if unit_defect > 1e-10:
-        u, _, vh = np.linalg.svd(c)
-        c = u @ vh
-    return Frame(np.conj(ab.second @ c))
+    return Frame(procrustes_rotate(np.conj(_range_basis(q)), frame.vectors))

@@ -37,7 +37,8 @@ from .frames import (
     vector_norms_sq,
 )
 from .linalg import hs_norm
-from .naimark import naimark_complement, naimark_reduction_check, reduce_to_small
+from .naimark import complement_defect_bound, naimark_complement, naimark_reduction_check
+from .naimark import reduce_to_small
 from .paulsen import (
     SolverConfig,
     equivalence_chain_frame_to_projection,
@@ -360,14 +361,14 @@ def suite_equivalence(seed: int = 0, trials: int = 100) -> list[PropertyCheck]:
 
 def complement_slacks(f: Frame) -> tuple:
     """The complement C of F: Gram(C) + Gram(F) = I, ||c_i||^2 + ||f_i||^2 = 1,
-    C's equal-norm defect over M / (N - M) times F's, and the double
-    complement's Gram against Gram(F)."""
+    C's equal-norm defect over :func:`complement_defect_bound` of F's, and
+    the double complement's Gram against Gram(F)."""
     m, n = f.dim, f.n_vectors
     comp = naimark_complement(f)
     return (
         hs_norm(gram(comp) + gram(f) - np.eye(n)),
         float(np.max(np.abs(vector_norms_sq(comp) + vector_norms_sq(f) - 1.0))),
-        defects(comp).equal_norm_eps - defects(f).equal_norm_eps * m / (n - m),
+        defects(comp).equal_norm_eps - complement_defect_bound(defects(f).equal_norm_eps, m, n),
         hs_norm(gram(naimark_complement(comp)) - gram(f)),
     )
 

@@ -1,6 +1,16 @@
 import numpy as np
 import pytest
 
+from framekit import (
+    Frame,
+    aligned_bases,
+    analysis_matrix,
+    canonical_parseval,
+    derive_seed,
+    perturb,
+    projection_from_frame,
+    random_equal_norm_parseval,
+)
 from framekit.verify import LIMITS
 
 
@@ -17,6 +27,27 @@ def within(check: str, slack, instance=None) -> None:
     """Assert a slack (or a worst slack) against the verify suites' limit for
     ``check``, naming the instance on failure."""
     assert slack <= LIMITS[check], f"{check}: slack {slack!r} over {LIMITS[check]} at {instance}"
+
+
+def aligned_lift(f, q):
+    """N x N reference for the lift of a Parseval frame F onto a projection Q:
+    bases of range(Gram F) and range(Q) paired along the principal angles,
+    F identified with the first through C = A^H T_F, and the second carried
+    back through C."""
+    ab = aligned_bases(projection_from_frame(f), q)
+    return Frame(np.conj(ab.second @ (ab.first.conj().T @ analysis_matrix(f))))
+
+
+def suite_frames(label: str, least_extra: int, seed: int = 0, trials: int = 100):
+    """The Parseval inputs of the ``equivalence`` (label "eq", N >= M) and
+    ``naimark`` (label "nk", N > M) suites at ``seed``, one per trial."""
+    rng = np.random.default_rng(derive_seed(seed, label))
+    for t in range(trials):
+        m = int(rng.integers(1, 7))
+        n = int(rng.integers(m + least_extra, 19))
+        eps = float(rng.uniform(0.01, 0.1))
+        base = random_equal_norm_parseval(m, n, derive_seed(seed, label + "b", t))
+        yield canonical_parseval(perturb(base, eps, derive_seed(seed, label + "p", t)))
 
 
 def _record_calls(monkeypatch, name: str) -> list:

@@ -161,6 +161,19 @@ class TestPrescribedNormSolver:
         assert defects(inst.solution).parseval_eps <= 1e-10
         assert prescribed_norm_defect(inst.solution, seq) <= 1e-10
 
+    @pytest.mark.parametrize("mu", [2e-10, 9e-10])
+    def test_admissible_targets_off_by_up_to_the_sum_slack_are_met(self, mu):
+        # the verdict admits squares whose sum is off M by up to 1e-9
+        # relative, more than the solver's tolerance
+        f = perturb(random_equal_norm_parseval(3, 7, 1), 0.05, 1)
+        a2 = feasible_norm_targets(3, 7, np.random.default_rng(1)).original ** 2
+        seq = AdmissibleSequence(np.sqrt(a2 * (1.0 + mu)), 3)
+        assert is_parseval_admissible(seq)
+        inst = nearest_prescribed_norm_parseval(f, seq)
+        assert inst.converged
+        assert defects(inst.solution).parseval_eps <= 1e-10
+        assert prescribed_norm_defect(inst.solution, seq) <= mu + 1e-10
+
     def test_infeasible_targets_rejected(self):
         f = harmonic_frame(2, 4)
         bad = AdmissibleSequence([1.4, 0.2, 0.2, 0.2], 2)

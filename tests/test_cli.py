@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from framekit import (
+    Frame,
     canonical_parseval,
     cli,
     equivalence_chain_frame_to_projection,
@@ -56,8 +57,6 @@ class TestCheck:
         assert "equal norm (tol 1e-08): yes" in res.stdout
 
     def test_scaled_basis_defect_matches_hand_arithmetic(self, tmp_path):
-        from framekit import Frame
-
         path = tmp_path / "scaled.json"
         dump_json(frame_to_dict(Frame(1.1 * np.eye(2))), str(path))
         res = run_cli("check", str(path))
@@ -148,9 +147,18 @@ class TestSolve:
         assert report["ratio_chain4"] == expected4
         assert report["ratio_chain2"] == expected2
 
-    def test_tiny_scale_frame_converges(self, tmp_path):
-        from framekit import Frame
+    def test_zero_vector_parseval_frame_reports_chain2_null(self, tmp_path, capsys):
+        # Gram F has a zero on its diagonal, so its diagonal defect is 1 and
+        # chain 2 does not apply; the restarted solve still converges.
+        path = tmp_path / "zero_vector.json"
+        dump_json(frame_to_dict(Frame(np.array([[1, 0], [0, 1], [0, 0]]))), str(path))
+        assert cli.main(["solve", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["converged"] is True
+        assert report["ratio_chain4"] is not None
+        assert report["ratio_chain2"] is None
 
+    def test_tiny_scale_frame_converges(self, tmp_path):
         path = tmp_path / "tiny.json"
         dump_json(frame_to_dict(Frame(1e-7 * harmonic_frame(3, 7).vectors)), str(path))
         res = run_cli("solve", str(path))
@@ -158,8 +166,6 @@ class TestSolve:
         assert json.loads(res.stdout)["converged"] is True
 
     def test_stationary_frame_exits_3_at_once(self, tmp_path):
-        from framekit import Frame
-
         path = tmp_path / "clumped.json"
         v = np.sqrt(2 / 3) * np.array([[1, 0], [0, 1], [1, 0]], dtype=complex)
         dump_json(frame_to_dict(Frame(v)), str(path))

@@ -1,21 +1,29 @@
 import numpy as np
 import pytest
 
-from conftest import within
+from conftest import aligned_lift, suite_frames, within
 from framekit import (
     Frame,
+    Projection,
     canonical_parseval,
     derive_seed,
+    frame_distance,
+    frame_from_projection,
+    gram,
     harmonic_frame,
     naimark_branch,
     naimark_complement,
     naimark_reduction_check,
+    nearest_equal_norm_parseval,
     perturb,
+    proj_distance,
+    projection_from_frame,
     random_equal_norm_parseval,
     random_parseval,
     reduce_to_small,
     vector_norms_sq,
 )
+from framekit.paulsen import chain_bound
 from framekit.verify import complement_slacks, reduction_violation
 
 
@@ -79,6 +87,22 @@ class TestReductionCheck:
         instance = naimark_reduction_check(fp).complement_instance
         assert instance.converged
         assert instance.iterations <= 4
+
+    def test_frame_coordinates_match_the_projection_reference(self):
+        # The complement from an eigendecomposition of I - Gram F, and the
+        # solved complement's Gram mapped back and lifted by aligned bases.
+        for t, f in enumerate(suite_frames("nk", 1)):
+            rep = naimark_reduction_check(f)
+            n = f.n_vectors
+            comp = frame_from_projection(Projection(np.eye(n) - gram(f)))
+            inst = nearest_equal_norm_parseval(comp).require_converged()
+            q = Projection(np.eye(n) - gram(inst.solution), atol=1e-7)
+            lift = frame_distance(f, aligned_lift(f, q))
+            dist = proj_distance(projection_from_frame(f), q)
+            assert abs(rep.complement_distance - inst.distance) <= 1e-10, t
+            assert abs(rep.projection_distance - dist) <= 1e-10, t
+            assert abs(rep.lift_distance - lift) <= 1e-10, t
+            assert abs(rep.ratio - chain_bound(lift, 8.0, inst.distance)["ratio"]) <= 1e-10, t
 
     def test_wide_frame_complement_branch(self):
         f = canonical_parseval(perturb(random_equal_norm_parseval(2, 6, 17), 0.05, 17))

@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from conftest import aligned_lift, suite_frames
 from framekit import (
     ConvergenceError,
     Frame,
     SolverConfig,
     canonical_parseval,
     defects,
+    diagonal_defect,
     equivalence_chain_frame_to_projection,
     equivalence_chain_projection_to_frame,
     frame_distance,
@@ -23,11 +25,13 @@ from framekit import (
     nearest_equal_norm_parseval,
     paulsen,
     perturb,
+    proj_distance,
     projection_from_frame,
     random_equal_norm_parseval,
     random_parseval,
     vector_norms_sq,
 )
+from framekit.paulsen import chain_bound
 
 
 class TestHarmonicFrame:
@@ -446,6 +450,23 @@ class TestEquivalenceChains:
             q = projection_from_frame(resolved.solution)
             assert abs(resolved.distance - rep.paulsen_distance) <= 1e-12
             assert abs(frame_distance(g, frame_lift(g, q)) - rep.lift_distance) <= 1e-12
+
+    def test_frame_coordinates_match_the_projection_reference(self):
+        # Chain 4 is the N x N computation bit for bit; chain 2's lift is the
+        # aligned-basis lift within rounding.
+        for t, f in enumerate(suite_frames("eq", 0)):
+            inst = nearest_equal_norm_parseval(f)
+            r4 = equivalence_chain_frame_to_projection(inst)
+            r2 = equivalence_chain_projection_to_frame(inst)
+            p = projection_from_frame(f)
+            q = projection_from_frame(inst.solution)
+            dist = proj_distance(p, q)
+            assert r4.projection_distance == r2.projection_distance == dist, t
+            assert abs(r4.solution_diagonal_defect - diagonal_defect(q)) <= 1e-10, t
+            extracted = frame_from_projection(p)
+            lift = frame_distance(extracted, aligned_lift(extracted, q))
+            assert abs(r2.lift_distance - lift) <= 1e-10, t
+            assert abs(r2.ratio - chain_bound(lift, 2.0, dist)["ratio"]) <= 1e-10, t
 
     def test_rejects_non_parseval_frame(self):
         f = Frame(1.1 * harmonic_frame(2, 6).vectors)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import within
+from conftest import aligned_lift, within
 from framekit import (
     Frame,
     Projection,
@@ -147,6 +147,14 @@ class TestRangeBasisReuse:
         assert np.array_equal(f.vectors, np.conj(basis))
 
 
+    def test_frame_lift_decomposes_only_the_new_frame(self, eigh_calls):
+        f = random_parseval(3, 8, 55)
+        q = projection_from_frame(random_parseval(3, 8, 56))
+        eigh_calls.clear()
+        frame_lift(f, q)
+        assert eigh_calls == [(3, 3)]
+
+
 class TestChordal:
     def test_zero_for_equal(self, c4_pair):
         p, _ = c4_pair
@@ -217,13 +225,6 @@ class TestProjectionFromFrame:
         with pytest.raises(ValueError, match="not Parseval"):
             projection_from_frame(f)
 
-    def test_frame_keeps_its_projection(self, eigh_calls):
-        f = random_parseval(3, 8, 55)
-        eigh_calls.clear()
-        p = projection_from_frame(f)
-        assert projection_from_frame(f) is p
-        assert eigh_calls == [(8, 8)]
-
     def test_roundtrip_through_frame_from_projection(self):
         p = projection_from_frame(random_parseval(3, 8, 55))
         f = frame_from_projection(p)
@@ -258,6 +259,16 @@ class TestFrameLift:
             within("frame-lift-gram-matches-target", gram_slack, t)
             assert defects(frame_lift(f, q)).parseval_eps <= 1e-9
             within("frame-lift-distance-factor-2", dist_slack, t)
+
+    def test_matches_the_aligned_basis_lift(self):
+        for t in range(40):
+            rng = np.random.default_rng(6000 + t)
+            m = int(rng.integers(1, 7))
+            n = int(rng.integers(m + 1, 19))
+            f = random_parseval(m, n, 7000 + t)
+            q = projection_from_frame(random_parseval(m, n, 8000 + t))
+            lifted = frame_lift(f, q)
+            assert np.max(np.abs(lifted.vectors - aligned_lift(f, q).vectors)) <= 1e-12, t
 
     def test_norms_follow_target_diagonal(self):
         f = random_parseval(2, 5, 42)

@@ -17,7 +17,7 @@ SMALL = {
     "tolerance": 1e-10,
     "output_path": "small.csv",
 }
-SMALL_SHA256 = "2225d1c266eb9b9a513223688939c96467ee3486757354ddf105155b3c854a4a"
+SMALL_SHA256 = "e632358c141abf40684e83a1d17308f410092ff9046b5f76409bfe6fec227e53"
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -89,10 +89,19 @@ def test_errors_outside_the_numerical_ones_still_propagate(monkeypatch):
         run_sweep(ExperimentConfig.from_dict(SMALL), jobs=1)
 
 
-def test_trial_builds_each_projection_once(monkeypatch):
-    # Gram of the Parseval input (chain 4, chain 2 and the Naimark check),
-    # Gram of the extracted frame (chain 2's lift), Gram of the solution
-    # (chain 4 and chain 2), the complement, and the complement's solution.
+def test_loose_tolerance_fills_every_chain():
+    # Solutions at tolerance 1e-6 are Parseval only to about 1e-7, outside
+    # the 1e-8 gate of a Gram projection; no chain wraps one in a projection.
+    config = ExperimentConfig.from_dict({**SMALL, "tolerance": 1e-6})
+    lines = run_sweep(config, jobs=1).splitlines()
+    rows = [dict(zip(CSV_COLUMNS, line.split(","))) for line in lines[1:] if line[0] != "#"]
+    assert len(rows) == 8
+    assert all(row[col] for row in rows for col in ("chain4", "chain2", "chain8"))
+
+
+def test_trial_builds_each_projection_once(monkeypatch, eigh_calls):
+    # Only chain 2 extracts a frame from the Parseval input's Gram projection;
+    # the chains and the Naimark route otherwise work on frame vectors.
     built = []
     init = Projection.__init__
 
@@ -101,6 +110,10 @@ def test_trial_builds_each_projection_once(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Projection, "__init__", counting)
-    row = sweep.run_trial(3, 8, 0.05, 1234, 1e-10, 10000)
-    assert row["chain8"] is not None
-    assert len(built) == 5
+    for m, n in [(3, 8), (4, 24), (6, 30)]:
+        built.clear()
+        eigh_calls.clear()
+        row = sweep.run_trial(m, n, 0.05, 1234, 1e-10, 10000)
+        assert row["chain8"] is not None
+        assert len(built) == 1
+        assert eigh_calls.count((n, n)) == 1
