@@ -32,7 +32,7 @@ from .frames import (
     gram,
     vector_norms_sq,
 )
-from .linalg import HermEig, SingularMatrixError, herm_eig, hs_norm, inv_sqrt_psd
+from .linalg import HermEig, SingularMatrixError, herm_eig, hs_norm
 from .naimark import (
     NaimarkReductionReport,
     complement_defect_bound,

@@ -103,6 +103,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise _InputError(f"--jobs must be at least 1, got {args.jobs}")
     try:
         config = ExperimentConfig.from_dict(_load(args.config))
     except ValueError as err:

@@ -34,6 +34,7 @@ __all__ = [
     "defects",
     "canonical_parseval",
     "frame_distance",
+    "vector_distance",
     "frame_potential",
     "analysis_image_distance",
 ]
@@ -179,7 +180,12 @@ def _check_same_shape(f: Frame, g: Frame) -> None:
 def frame_distance(f: Frame, g: Frame) -> float:
     """Summed squared vector distance sum_i ||f_i - g_i||^2."""
     _check_same_shape(f, g)
-    return float(np.sum(np.abs(f.vectors - g.vectors) ** 2))
+    return vector_distance(f.vectors, g.vectors)
+
+
+def vector_distance(v: np.ndarray, w: np.ndarray) -> float:
+    """sum_i ||v_i - w_i||^2 for two (N, M) arrays of frame vectors."""
+    return float(np.sum(np.abs(v - w) ** 2))
 
 
 def frame_potential(frame: Frame) -> float:

@@ -2,7 +2,8 @@
 
 Thin, contract-checked wrappers around LAPACK (via ``numpy.linalg``): the
 validated Hermitian eigendecomposition that every ``Frame`` and
-``Projection`` runs on construction, and inverse square roots.
+``Projection`` runs on construction, and the inverse square root taken
+from it.
 All routines take and return 2-D ``complex128`` arrays; real input is
 embedded with a zero imaginary part.  Hermitian inputs are symmetrized
 before decomposition to absorb accumulation error.
@@ -14,7 +15,8 @@ Not every decomposition goes through here.  The Newton solver calls
 for the closing Procrustes rotation.
 ``subspaces`` calls ``numpy.linalg.svd`` for principal angles, aligned bases
 and every lift's Procrustes rotation, and ``numpy.linalg.qr`` serves
-``naimark``'s complement bases and ``paulsen.haar_unitary``.
+``naimark``'s complement bases, chain 2's extracted frame and
+``paulsen.haar_unitary``.
 """
 
 from typing import NamedTuple
@@ -29,7 +31,6 @@ __all__ = [
     "herm_eig",
     "clears_floor",
     "inv_sqrt_eig",
-    "inv_sqrt_psd",
 ]
 
 EIG_FLOOR = 1e-12
@@ -100,12 +101,3 @@ def inv_sqrt_eig(decomp: HermEig) -> np.ndarray:
     v = decomp.eigenvectors
     r = (v * decomp.eigenvalues**-0.5) @ v.conj().T
     return 0.5 * (r + r.conj().T)
-
-
-def inv_sqrt_psd(s) -> np.ndarray:
-    """Inverse square root of a Hermitian positive-definite matrix.
-
-    The input is symmetrized and decomposed by :func:`herm_eig`; see
-    :func:`inv_sqrt_eig` for the result and the singularity test.
-    """
-    return inv_sqrt_eig(herm_eig(s))

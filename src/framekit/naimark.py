@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import Frame, analysis_image_distance, defects, frame_distance
+from .frames import Frame, analysis_image_distance, defects, vector_distance
 from .paulsen import PaulsenInstance, SolverConfig, chain_bound, nearest_equal_norm_parseval
 from .subspaces import procrustes_rotate, require_parseval
 
@@ -71,7 +71,7 @@ def naimark_reduction_check(frame: Frame, cfg: SolverConfig | None = None) -> Na
     eps = defects(frame).equal_norm_eps
     instance = nearest_equal_norm_parseval(comp, cfg).require_converged()
     lifted = procrustes_rotate(_complement_vectors(instance.solution.vectors), frame.vectors)
-    lift_distance = frame_distance(frame, Frame(lifted))
+    lift_distance = vector_distance(frame.vectors, lifted)
     return NaimarkReductionReport(
         equal_norm_eps=eps,
         complement_equal_norm_eps=defects(comp).equal_norm_eps,

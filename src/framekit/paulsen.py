@@ -34,15 +34,10 @@ from .frames import (
     hs_norm,
     norm_defect,
     parseval_defect,
+    vector_distance,
 )
 from .linalg import clears_floor
-from .subspaces import (
-    diagonal_defect,
-    frame_from_projection,
-    procrustes_rotate,
-    projection_from_frame,
-    require_parseval,
-)
+from .subspaces import procrustes_rotate, projection_from_frame, require_parseval
 
 __all__ = [
     "ConvergenceError",
@@ -562,27 +557,31 @@ def equivalence_chain_frame_to_projection(instance: PaulsenInstance) -> FrameToP
 
 
 def equivalence_chain_projection_to_frame(instance: PaulsenInstance) -> ProjectionToFrameReport:
-    """Take P = Gram F of a solved instance's Parseval input F, extract the
+    """Take P = Gram F of a solved instance's Parseval input F, extract a
     Parseval frame realizing P, and lift Q = Gram(solution) back to it,
     checking d(extracted, lifted) <= 2 * d(P, Q).
 
-    The extracted frame equals F up to a unitary change of basis, and the
+    F's analysis matrix spans range(P), so the extracted frame's analysis
+    matrix is the orthonormal factor of its thin QR, in O(N M^2) with no
+    N x N decomposition; P's diagonal holds F's squared norms.  The
+    extracted frame equals F up to a unitary change of basis, and the
     solver is unitarily equivariant, so the instance's solve of F stands in
     for a solve of the extracted frame.  F must be Parseval and P's diagonal
     defect below 1 (``ValueError`` otherwise) and the instance converged
     (:class:`ConvergenceError` otherwise).  To start from a projection P,
     solve ``frame_from_projection(P)``.
     """
-    p = projection_from_frame(instance.input_frame)
+    frame = instance.input_frame
+    require_parseval(frame)
     instance.require_converged()
-    eps = diagonal_defect(p)
+    eps = defects(frame).equal_norm_eps
     if eps >= 1.0:
         raise ValueError(f"projection diagonal defect {eps:.3e} must be < 1")
-    f = frame_from_projection(p)
-    extraction_residual = hs_norm(gram(f) - p.matrix)
-    lifted = Frame(procrustes_rotate(instance.solution.vectors, f.vectors))
-    lift_distance = frame_distance(f, lifted)
-    dist = analysis_image_distance(instance.input_frame, instance.solution)
+    f = Frame(np.conj(np.linalg.qr(np.conj(frame.vectors))[0]))
+    extraction_residual = hs_norm(gram(f) - gram(frame))
+    lifted = procrustes_rotate(instance.solution.vectors, f.vectors)
+    lift_distance = vector_distance(f.vectors, lifted)
+    dist = analysis_image_distance(frame, instance.solution)
     return ProjectionToFrameReport(
         eps=eps,
         extraction_residual=extraction_residual,

@@ -239,6 +239,14 @@ class TestSweep:
         res = run_cli("sweep", str(path))
         assert res.returncode == 4
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_2(self, tmp_path, capsys, jobs):
+        path, _ = self.config(tmp_path)
+        assert cli.main(["sweep", str(path), "--jobs", jobs]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "--jobs must be at least 1" in out.err
+        assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize(
         "jobs, n_tasks, cpus, expected",

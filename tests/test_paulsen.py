@@ -429,9 +429,9 @@ class TestEquivalenceChains:
         assert rep.within_bound
 
     def test_projection_to_frame_seeded(self):
-        for seed in range(15):
+        for m, n, seed in [(2, 4, s) for s in range(15)] + [(4, 200, 0), (6, 300, 0)]:
             f = canonical_parseval(
-                perturb(random_equal_norm_parseval(2, 4, 100 + seed), 0.08, seed)
+                perturb(random_equal_norm_parseval(m, n, 100 + seed), 0.08, seed)
             )
             rep = equivalence_chain_projection_to_frame(nearest_equal_norm_parseval(f))
             assert rep.within_bound
@@ -440,9 +440,9 @@ class TestEquivalenceChains:
     def test_projection_to_frame_matches_a_solve_of_the_extracted_frame(self):
         # the extracted frame is the input up to a unitary, so solving it
         # again finds the same projection Q
-        for seed in range(10):
+        for m, n, seed in [(3, 7, s) for s in range(10)] + [(4, 200, 0), (6, 300, 0)]:
             f = canonical_parseval(
-                perturb(random_equal_norm_parseval(3, 7, 200 + seed), 0.05, seed)
+                perturb(random_equal_norm_parseval(m, n, 200 + seed), 0.05, seed)
             )
             rep = equivalence_chain_projection_to_frame(nearest_equal_norm_parseval(f))
             g = frame_from_projection(projection_from_frame(f))

@@ -27,7 +27,7 @@ PINNED_WORSTS = {
         "frame-to-projection-factor-4": "0.0",
         "solved-gram-constant-diagonal": "1.1102230246251565e-15",
         "projection-to-frame-factor-2": "0.0",
-        "projection-frame-extraction": "3.7938235754766644e-15",
+        "projection-frame-extraction": "3.599664542651523e-15",
         "solver-beats-unconstrained-nearest": "0.0",
         "solver-unitary-invariant-distance": "7.45931094670027e-17",
         "solver-permutation-equivariant": "1.159106867033638e-15",
