@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frames import Frame, analysis_image_distance, defects, vector_distance
+from .frames import Frame, defects, vector_distance
 from .paulsen import PaulsenInstance, SolverConfig, chain_bound, nearest_equal_norm_parseval
 from .subspaces import procrustes_rotate, require_parseval
 
@@ -66,10 +66,22 @@ class NaimarkReductionReport:
     complement_instance: PaulsenInstance
 
 
-def naimark_reduction_check(frame: Frame, cfg: SolverConfig | None = None) -> NaimarkReductionReport:
+def naimark_reduction_check(
+    frame: Frame, cfg: SolverConfig | None = None, start: np.ndarray | None = None
+) -> NaimarkReductionReport:
+    """Solve the complement of the Parseval ``frame`` and lift the solution
+    back (see :class:`NaimarkReductionReport`).
+
+    ``start`` holds the log-weights of a solve of ``frame``, or of any frame
+    with the same analysis range (``PaulsenInstance.log_weights``).  The
+    complement's analysis range is the orthogonal complement of the weighted
+    one, so its solve starts from ``-start``; without it, from zero weights.
+    """
     comp = naimark_complement(frame)
     eps = defects(frame).equal_norm_eps
-    instance = nearest_equal_norm_parseval(comp, cfg).require_converged()
+    if start is not None:
+        start = -np.asarray(start, dtype=np.float64)
+    instance = nearest_equal_norm_parseval(comp, cfg, start).require_converged()
     lifted = procrustes_rotate(_complement_vectors(instance.solution.vectors), frame.vectors)
     lift_distance = vector_distance(frame.vectors, lifted)
     return NaimarkReductionReport(
@@ -77,7 +89,7 @@ def naimark_reduction_check(frame: Frame, cfg: SolverConfig | None = None) -> Na
         complement_equal_norm_eps=defects(comp).equal_norm_eps,
         transfer_bound=complement_defect_bound(eps, frame.dim, frame.n_vectors),
         complement_distance=instance.distance,
-        projection_distance=analysis_image_distance(comp, instance.solution),
+        projection_distance=instance.projection_distance,
         lift_distance=lift_distance,
         complement_instance=instance,
         **chain_bound(lift_distance, 8.0, instance.distance),

@@ -18,7 +18,8 @@ explicitly with the best iterate, never silently.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -73,6 +74,14 @@ STALL_GAIN = 4.0 * float(np.finfo(np.float64).eps)
 # of its length, before the solve stops stagnated.
 LINE_SEARCH_HALVINGS = 40
 
+# A step that halves ||tau - c|| passes the line search even when Phi rises,
+# but only by up to PHI_ROUNDING * (1 + |Phi|): within Phi's rounding, where
+# Phi cannot judge the step.  Rises on the solves of the tests, the verify
+# suites and the sweeps stay below 1e-14 of that scale.  A larger rise means
+# the step left the region the Newton model describes, as a far start's
+# first Newton step can, driving one weight towards zero.
+PHI_ROUNDING = 1e-12
+
 # perturb stops bisecting its amplitude once the bracket [lo, hi] satisfies
 # hi - lo <= PERTURB_BRACKET_RTOL * hi, and gives up (keeping the largest
 # amplitude found within the cap) after PERTURB_MAX_ATTEMPTS candidates.
@@ -107,7 +116,11 @@ class PaulsenInstance:
     solver stopped: "converged", "max_iterations", "span_floor", "stagnated"
     or "stalled" (see ``_newton_solve``).  The instance is converged only for
     the first, and then the solution has both defects at or below the solver
-    tolerance.
+    tolerance.  ``log_weights`` are the Barthe log-weights w of the returned
+    iterate: solution_i = e^{w_i/2} f_i B for one M x M matrix B, and zeros
+    when the input is returned.  A solve of any frame with the same
+    analysis range may start from them.  A degenerate solve's weights
+    weight its restarted vectors, so they are no such start.
     """
 
     input_frame: Frame
@@ -118,19 +131,34 @@ class PaulsenInstance:
     stop_reason: str
     degenerate: bool
     bound_16eM: float
+    log_weights: np.ndarray = field(compare=False, repr=False)
 
     @property
     def converged(self) -> bool:
         return self.stop_reason == "converged"
 
+    @cached_property
+    def projection_distance(self) -> float:
+        """d(Gram F, Gram G) between the input and the solution, the
+        analysis image distance, formed once and read by every chain."""
+        return analysis_image_distance(self.input_frame, self.solution)
+
     @classmethod
     def solve(
-        cls, frame: Frame, targets_sq: np.ndarray, cfg: SolverConfig, eps: float
+        cls,
+        frame: Frame,
+        targets_sq: np.ndarray,
+        cfg: SolverConfig,
+        eps: float,
+        start: np.ndarray | None = None,
     ) -> "PaulsenInstance":
         """Run the solver from ``frame`` towards the per-vector squared norms
         ``targets_sq`` and record the result, with ``eps`` as the input
-        defect it reports."""
-        vectors, iterations, stop_reason, degenerate = _newton_solve(frame, targets_sq, cfg)
+        defect it reports.  ``start`` gives the log-weights of the first
+        evaluation (see ``_newton_solve``)."""
+        vectors, log_weights, iterations, stop_reason, degenerate = _newton_solve(
+            frame, targets_sq, cfg, start
+        )
         solution = Frame(vectors)
         return cls(
             input_frame=frame,
@@ -141,6 +169,7 @@ class PaulsenInstance:
             stop_reason=stop_reason,
             degenerate=degenerate,
             bound_16eM=16.0 * eps * frame.dim,
+            log_weights=log_weights,
         )
 
     def require_converged(self) -> "PaulsenInstance":
@@ -352,12 +381,13 @@ def _scaled_parseval(v: np.ndarray, t: np.ndarray, c: np.ndarray, eig=None):
     return u, tau, float(np.log(evals).sum()) + v.shape[1] * top - float(c @ t)
 
 
-def _newton_solve(frame: Frame, targets_sq: np.ndarray, cfg: SolverConfig):
+def _newton_solve(frame: Frame, targets_sq: np.ndarray, cfg: SolverConfig, start=None):
     """Damped Newton on Barthe's potential from the raw (N, M) vector array
-    of ``frame``, whose kept eigendecomposition serves as the first
-    evaluation's.
+    of ``frame``, at the log-weights ``start`` (an (N,) array of finite
+    floats; ``ValueError`` otherwise), or at zero weights when it is None,
+    the first evaluation then reusing ``frame``'s kept eigendecomposition.
 
-    Returns (vectors, iterations, stop_reason, degenerate).
+    Returns (vectors, log_weights, iterations, stop_reason, degenerate).
 
     Weighting the vectors by e^{t_i} and taking the canonical Parseval frame
     U of the result gives squared norms tau_i = ||u_i||^2, the gradient of
@@ -370,8 +400,9 @@ def _newton_solve(frame: Frame, targets_sq: np.ndarray, cfg: SolverConfig):
     Hessian is diag(tau) - |P|^2, with P = Gram(U) squared entrywise; the
     vector of ones is in its kernel, since Phi ignores a common weight, so
     the step solves (H + 11^T / N) d = c - tau.  A step is halved until Phi
-    does not rise or ||tau - c|| halves; Phi alone cannot judge steps near
-    the optimum, where its changes fall below its rounding.
+    does not rise, or ||tau - c|| halves while Phi rises by no more than its
+    rounding (``PHI_ROUNDING``); Phi alone cannot judge steps near the
+    optimum, where its changes fall below its rounding.
 
     The loop stops for one of these reasons:
 
@@ -397,31 +428,41 @@ def _newton_solve(frame: Frame, targets_sq: np.ndarray, cfg: SolverConfig):
     (orthogonal Procrustes: one M x M SVD), which can only shorten the
     distance.
 
+    The potential sees the vectors only through the range of the weighted
+    analysis matrix, up to a constant, so a frame F A (A invertible) has
+    F's minimiser, and F's Naimark complement has its negation; either
+    solve may start from F's ``log_weights``.  The loop decides convergence
+    from any start.
+
     A vector that U maps to zero takes no weight; it restarts in a random
     direction, seeded from the input's bytes, and sets ``degenerate``.
     """
-    start = frame.vectors
+    vectors = frame.vectors
+    n = vectors.shape[0]
+    t = np.zeros(n) if start is None else _checked_start(start, n)
     evals, evecs = frame._eig
-    best, best_defect = start, max(
+    best, best_defect = vectors, max(
         parseval_defect(evals[-1], evals[0]),
-        norm_defect((np.abs(start) ** 2).sum(axis=1), targets_sq),
+        norm_defect((np.abs(vectors) ** 2).sum(axis=1), targets_sq),
     )
     if best_defect <= cfg.tolerance:
-        return start, 0, "converged", False
-    n = start.shape[0]
-    v, t = start, np.zeros(n)
-    # The Frame's eigh made these bits from the same product; its descending
-    # order is reversed into contiguous copies, since matmul's rounding
-    # depends on operand layout.
-    eig = np.ascontiguousarray(evals[::-1]), np.ascontiguousarray(evecs[:, ::-1])
+        return vectors, np.zeros(n), 0, "converged", False
+    v, eig = vectors, None
+    if start is None:
+        # The Frame's eigh made these bits from the same product; its
+        # descending order is reversed into contiguous copies, since
+        # matmul's rounding depends on operand layout.
+        eig = np.ascontiguousarray(evals[::-1]), np.ascontiguousarray(evecs[:, ::-1])
     current = _scaled_parseval(v, t, targets_sq, eig)
     dead = current is not None and current[1] < ZERO_VECTOR_NORM**2
     degenerate = bool(np.any(dead))
     if degenerate:
-        rng = np.random.default_rng(derive_seed("restart", start.tobytes()))
+        rng = np.random.default_rng(derive_seed("restart", vectors.tobytes()))
         shape = (int(dead.sum()), v.shape[1])
         z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        v = current[0]
+        # U's rows carry the weights; dividing them out keeps t the weights
+        # of the input's rows (a division by ones from a cold start).
+        v = current[0] / np.sqrt(np.exp(t - t.max()))[:, None]
         v[dead] = z / np.linalg.norm(z, axis=1)[:, None]
         current = _scaled_parseval(v, t, targets_sq)
     gain_it = 0
@@ -430,7 +471,8 @@ def _newton_solve(frame: Frame, targets_sq: np.ndarray, cfg: SolverConfig):
             stop_reason = "span_floor"
             break
         u, tau, phi = current
-        x = u * np.sqrt(targets_sq / tau)[:, None]
+        scale = targets_sq / tau
+        x = u * np.sqrt(scale)[:, None]
         lam = np.linalg.eigvalsh(x.T @ x.conj())
         parseval_eps = parseval_defect(lam[0], lam[-1])
         norm_eps = norm_defect((np.abs(x) ** 2).sum(axis=1), targets_sq)
@@ -438,7 +480,7 @@ def _newton_solve(frame: Frame, targets_sq: np.ndarray, cfg: SolverConfig):
         if combined < best_defect:
             if combined < best_defect - STALL_GAIN:
                 gain_it = it
-            best, best_defect = x, combined
+            best, best_weights, best_defect = x, (t, scale), combined
         if parseval_eps <= cfg.tolerance and norm_eps <= cfg.tolerance:
             stop_reason = "converged"
             break
@@ -451,7 +493,7 @@ def _newton_solve(frame: Frame, targets_sq: np.ndarray, cfg: SolverConfig):
         shortfall = targets_sq - tau
         gap = np.linalg.norm(shortfall)
         if it == 0:
-            step = np.log(targets_sq / tau)
+            step = np.log(scale)
         else:
             p = u.conj() @ u.T
             hessian = np.diag(tau) - (p.real**2 + p.imag**2) + 1.0 / n
@@ -464,8 +506,10 @@ def _newton_solve(frame: Frame, targets_sq: np.ndarray, cfg: SolverConfig):
                 break
         for _ in range(LINE_SEARCH_HALVINGS + 1):
             trial = _scaled_parseval(v, t + step, targets_sq)
-            if trial is not None and (
-                trial[2] <= phi or np.linalg.norm(trial[1] - targets_sq) <= 0.5 * gap
+            if (
+                trial is not None
+                and trial[2] <= phi + PHI_ROUNDING * (1.0 + abs(phi))
+                and (trial[2] <= phi or np.linalg.norm(trial[1] - targets_sq) <= 0.5 * gap)
             ):
                 break
             step = 0.5 * step
@@ -474,17 +518,33 @@ def _newton_solve(frame: Frame, targets_sq: np.ndarray, cfg: SolverConfig):
             break
         t, current = t + step, trial
     # The loop always breaks, at it == cfg.max_iterations at the latest.
-    if best is start:
-        return start, it, stop_reason, degenerate
-    return procrustes_rotate(best, start), it, stop_reason, degenerate
+    if best is vectors:
+        return vectors, np.zeros(n), it, stop_reason, degenerate
+    # The iterate is the weighted vectors at t, rescaled by scale, times one
+    # M x M map, so its log-weights are t + log(scale).
+    t, scale = best_weights
+    return procrustes_rotate(best, vectors), t + np.log(scale), it, stop_reason, degenerate
 
 
-def nearest_equal_norm_parseval(frame: Frame, cfg: SolverConfig | None = None) -> PaulsenInstance:
+def _checked_start(start, n: int) -> np.ndarray:
+    t = np.array(start, dtype=np.float64)
+    if t.shape != (n,):
+        raise ValueError(f"start must hold {n} log-weights, shape ({n},); got shape {t.shape}")
+    bad = np.flatnonzero(~np.isfinite(t))
+    if bad.size:
+        raise ValueError(f"start must be finite; entry {bad[0]} is {float(t[bad[0]])!r}")
+    return t
+
+
+def nearest_equal_norm_parseval(
+    frame: Frame, cfg: SolverConfig | None = None, start: np.ndarray | None = None
+) -> PaulsenInstance:
     """Solve for a nearest equal-norm Parseval frame by Newton's method on
-    Barthe's potential (see ``_newton_solve``)."""
+    Barthe's potential, from the log-weights ``start`` when given (see
+    ``_newton_solve``)."""
     cfg = cfg or SolverConfig()
     targets_sq = np.full(frame.n_vectors, frame.dim / frame.n_vectors)
-    return PaulsenInstance.solve(frame, targets_sq, cfg, defects(frame).max())
+    return PaulsenInstance.solve(frame, targets_sq, cfg, defects(frame).max(), start)
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +606,7 @@ def equivalence_chain_frame_to_projection(instance: PaulsenInstance) -> FrameToP
     require_parseval(instance.input_frame)
     instance.require_converged()
     delta = instance.distance
-    dist = analysis_image_distance(instance.input_frame, instance.solution)
+    dist = instance.projection_distance
     return FrameToProjectionReport(
         eps=instance.eps,
         paulsen_distance=delta,
@@ -581,7 +641,7 @@ def equivalence_chain_projection_to_frame(instance: PaulsenInstance) -> Projecti
     extraction_residual = hs_norm(gram(f) - gram(frame))
     lifted = procrustes_rotate(instance.solution.vectors, f.vectors)
     lift_distance = vector_distance(f.vectors, lifted)
-    dist = analysis_image_distance(frame, instance.solution)
+    dist = instance.projection_distance
     return ProjectionToFrameReport(
         eps=eps,
         extraction_residual=extraction_residual,

@@ -167,9 +167,15 @@ def _trial_results(m, n, eps, trial_seed, tolerance, max_iterations) -> dict:
     f = perturb(base, eps, derive_seed(trial_seed, "perturb"))
     inst = nearest_equal_norm_parseval(f, cfg)
     fp = canonical_parseval(f)
+    # fp = F S^{-1/2} has F's analysis range, and Barthe's potential sees the
+    # vectors only through that range, so F's converged log-weights are fp's
+    # minimiser and their negation that of fp's complement (whose range is
+    # the complement of the weighted one).  Both solves start there and
+    # still decide convergence themselves; an unconverged F starts them cold.
+    start = inst.log_weights if inst.converged else None
     # Chain 4 and chain 2 check the two directions of one equivalence on the
     # same solved instance.
-    inst_p = nearest_equal_norm_parseval(fp, cfg)
+    inst_p = nearest_equal_norm_parseval(fp, cfg, start)
     if inst_p.converged:
         chain4 = equivalence_chain_frame_to_projection(inst_p).ratio
         chain2 = equivalence_chain_projection_to_frame(inst_p).ratio
@@ -177,7 +183,7 @@ def _trial_results(m, n, eps, trial_seed, tolerance, max_iterations) -> dict:
         chain4 = chain2 = None
     if n > m:
         try:
-            chain8 = naimark_reduction_check(fp, cfg).ratio
+            chain8 = naimark_reduction_check(fp, cfg, start).ratio
         except ConvergenceError:
             chain8 = None
     else:

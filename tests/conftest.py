@@ -38,16 +38,36 @@ def aligned_lift(f, q):
     return Frame(np.conj(ab.second @ (ab.first.conj().T @ analysis_matrix(f))))
 
 
-def suite_frames(label: str, least_extra: int, seed: int = 0, trials: int = 100):
-    """The Parseval inputs of the ``equivalence`` (label "eq", N >= M) and
-    ``naimark`` (label "nk", N > M) suites at ``seed``, one per trial."""
+def suite_perturbed(label: str, least_extra: int, seed: int = 0, trials: int = 100):
+    """The perturbed frames behind the Parseval inputs of the ``equivalence``
+    (label "eq", N >= M) and ``naimark`` (label "nk", N > M) suites at
+    ``seed``, one per trial."""
     rng = np.random.default_rng(derive_seed(seed, label))
     for t in range(trials):
         m = int(rng.integers(1, 7))
         n = int(rng.integers(m + least_extra, 19))
         eps = float(rng.uniform(0.01, 0.1))
         base = random_equal_norm_parseval(m, n, derive_seed(seed, label + "b", t))
-        yield canonical_parseval(perturb(base, eps, derive_seed(seed, label + "p", t)))
+        yield perturb(base, eps, derive_seed(seed, label + "p", t))
+
+
+def suite_frames(label: str, least_extra: int, seed: int = 0, trials: int = 100):
+    """The Parseval inputs of the ``equivalence`` and ``naimark`` suites: the
+    canonical Parseval frames of ``suite_perturbed``."""
+    for f in suite_perturbed(label, least_extra, seed, trials):
+        yield canonical_parseval(f)
+
+
+def warm_start_inputs():
+    """Perturbed frames of the ``equivalence`` suite's shapes, and one at
+    (4, 200), for the warm-start identities."""
+    yield from suite_perturbed("eq", 0)
+    yield perturb(random_equal_norm_parseval(4, 200, 1), 0.05, 2)
+
+
+def far_start(n: int, seed) -> np.ndarray:
+    """Seeded log-weights of scale 3, far from any solve's."""
+    return 3.0 * np.random.default_rng(derive_seed(seed, "far")).standard_normal(n)
 
 
 def _record_calls(monkeypatch, name: str) -> list:

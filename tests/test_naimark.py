@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import aligned_lift, suite_frames, within
+from conftest import aligned_lift, far_start, suite_frames, warm_start_inputs, within
 from framekit import (
     Frame,
     Projection,
@@ -112,6 +112,41 @@ class TestReductionCheck:
         assert flag == "complemented"
         assert reduced.dim == 4 and reduced.n_vectors == 6
         within("reduction-always-small", reduction_violation(f))
+
+
+class TestWarmStart:
+    @staticmethod
+    def complemented():
+        for k, f in enumerate(warm_start_inputs()):
+            if f.n_vectors > f.dim:
+                yield k, f, canonical_parseval(f)
+
+    def test_complement_starts_from_the_negated_weights(self):
+        # The weighted complement's analysis range is the orthogonal
+        # complement of the weighted frame's, so -t* is its minimiser.
+        for k, f, fp in self.complemented():
+            t = nearest_equal_norm_parseval(f).require_converged().log_weights
+            cold = naimark_reduction_check(fp)
+            warm = naimark_reduction_check(fp, None, t)
+            assert warm.complement_instance.converged, k
+            assert warm.complement_instance.iterations <= 2, k
+            assert abs(warm.ratio - cold.ratio) <= 1e-9, k
+
+    def test_far_start_converges_to_the_cold_distance(self):
+        for k, f, fp in self.complemented():
+            cold = naimark_reduction_check(fp)
+            warm = naimark_reduction_check(fp, None, far_start(f.n_vectors, k))
+            assert abs(warm.complement_distance - cold.complement_distance) <= 1e-9, k
+            assert abs(warm.ratio - cold.ratio) <= 1e-9, k
+
+    def test_rejects_a_bad_start(self):
+        f = canonical_parseval(perturb(random_equal_norm_parseval(2, 6, 3), 0.05, 3))
+        with pytest.raises(ValueError, match=r"got shape \(5,\)"):
+            naimark_reduction_check(f, None, np.zeros(5))
+        start = np.zeros(6)
+        start[2] = np.nan
+        with pytest.raises(ValueError, match="entry 2 is nan"):
+            naimark_reduction_check(f, None, start)
 
 
 class TestReduceToSmall:

@@ -1,16 +1,18 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
-from conftest import aligned_lift, suite_frames
+from conftest import aligned_lift, far_start, suite_frames, warm_start_inputs
 from framekit import (
     ConvergenceError,
     Frame,
     SolverConfig,
     canonical_parseval,
     defects,
+    derive_seed,
     diagonal_defect,
     equivalence_chain_frame_to_projection,
     equivalence_chain_projection_to_frame,
@@ -402,6 +404,63 @@ class TestStopReasons:
             inst.require_converged()
 
 
+class TestWarmStart:
+    def test_weights_describe_the_returned_iterate(self):
+        # solution_i = e^{w_i / 2} f_i B for one M x M matrix B; at M = 1 the
+        # first rescale already converges and carries all of the weight
+        for k, f in enumerate(warm_start_inputs()):
+            inst = nearest_equal_norm_parseval(f).require_converged()
+            weighted = np.exp(0.5 * inst.log_weights)[:, None] * f.vectors
+            b = np.linalg.lstsq(weighted, inst.solution.vectors)[0]
+            assert hs_norm(weighted @ b - inst.solution.vectors) <= 1e-12, k
+
+    def test_returned_input_has_zero_weights(self):
+        inst = nearest_equal_norm_parseval(harmonic_frame(2, 6))
+        assert inst.iterations == 0
+        assert inst.log_weights.shape == (6,) and not inst.log_weights.any()
+
+    def test_same_analysis_range_starts_at_the_minimiser(self):
+        # Barthe's potential of F S^{-1/2} or of F A differs from F's by a
+        # constant, so F's weights minimise it too: solves of all three from
+        # them stop at once (the bound of 2 steps leaves room for rounding)
+        # and land on one Gram matrix.
+        for k, f in enumerate(warm_start_inputs()):
+            t = nearest_equal_norm_parseval(f).require_converged().log_weights
+            again = nearest_equal_norm_parseval(f, None, t)
+            assert again.converged and again.iterations <= 2, k
+            rng = np.random.default_rng(derive_seed(k, "A"))
+            a = rng.standard_normal((f.dim, f.dim)) + 1j * rng.standard_normal((f.dim, f.dim))
+            for g in (canonical_parseval(f), Frame(f.vectors @ a.T)):
+                warm = nearest_equal_norm_parseval(g, None, t)
+                assert warm.converged and warm.iterations <= 2, k
+                assert hs_norm(gram(warm.solution) - gram(again.solution)) <= 1e-12, k
+
+    def test_far_start_converges_to_the_cold_solution(self):
+        # From its far start, the first of these inputs, (4, 13), takes a
+        # first Newton step that halves ||tau - c|| while Phi rises from 4 to
+        # 47 and one weight falls towards zero; the line search must halve
+        # it, or the solve stagnates.
+        for k, f in enumerate(warm_start_inputs()):
+            cold = nearest_equal_norm_parseval(f)
+            warm = nearest_equal_norm_parseval(f, None, far_start(f.n_vectors, k))
+            assert warm.converged, k
+            assert abs(warm.distance - cold.distance) <= 1e-9, k
+
+    @pytest.mark.parametrize("shape", [(5,), (7,), (6, 1), ()])
+    def test_rejects_a_start_of_another_shape(self, shape):
+        for f in (perturb(harmonic_frame(2, 6), 0.05, 1), harmonic_frame(2, 6)):
+            with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+                nearest_equal_norm_parseval(f, None, np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_start(self, bad):
+        start = np.zeros(6)
+        start[4] = bad
+        for f in (perturb(harmonic_frame(2, 6), 0.05, 1), harmonic_frame(2, 6)):
+            with pytest.raises(ValueError, match=f"entry 4 is {bad!r}"):
+                nearest_equal_norm_parseval(f, None, start)
+
+
 class TestEquivalenceChains:
     def test_frame_to_projection_on_solved_input(self):
         f = harmonic_frame(2, 6)
@@ -467,6 +526,22 @@ class TestEquivalenceChains:
             lift = frame_distance(extracted, aligned_lift(extracted, q))
             assert abs(r2.lift_distance - lift) <= 1e-10, t
             assert abs(r2.ratio - chain_bound(lift, 2.0, dist)["ratio"]) <= 1e-10, t
+
+    def test_both_chains_form_one_projection_distance(self, monkeypatch):
+        f = canonical_parseval(perturb(random_equal_norm_parseval(3, 8, 1), 0.05, 2))
+        inst = nearest_equal_norm_parseval(f)
+        calls = []
+        distance = paulsen.analysis_image_distance
+
+        def counting(*args):
+            calls.append(args)
+            return distance(*args)
+
+        monkeypatch.setattr(paulsen, "analysis_image_distance", counting)
+        r4 = equivalence_chain_frame_to_projection(inst)
+        r2 = equivalence_chain_projection_to_frame(inst)
+        assert len(calls) == 1
+        assert r4.projection_distance == r2.projection_distance == inst.projection_distance
 
     def test_rejects_non_parseval_frame(self):
         f = Frame(1.1 * harmonic_frame(2, 6).vectors)

@@ -17,7 +17,7 @@ SMALL = {
     "tolerance": 1e-10,
     "output_path": "small.csv",
 }
-SMALL_SHA256 = "46edbda17994ed33009ef8bbb0d8cfd8aac2767085566ea1bf3ee6cd2cc78440"
+SMALL_SHA256 = "ec0d2f7124397299a81954d2516cdf6cc37c836ad63a669a49f637966d604a4f"
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -117,3 +117,37 @@ def test_trial_builds_no_projection(monkeypatch, eigh_calls):
         assert row["chain2"] is not None and row["chain8"] is not None
         assert len(built) == 0
         assert eigh_calls.count((n, n)) == 0
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        {"M_range": [2, 3, 4], "N_range": [6, 8]},
+        {"M_range": [4, 6], "N_range": [24, 30]},
+    ],
+)
+def test_benchmark_grids_fill_every_chain(grid):
+    # The sweep grids of the benchmark at 60 trials per cell: every warm
+    # started Parseval and complement solve converges and every chain stays
+    # within the paper's factor.
+    config = ExperimentConfig.from_dict(
+        {**SMALL, **grid, "eps_list": [0.01, 0.05], "trials_per_cell": 60}
+    )
+    rows = [dict(zip(CSV_COLUMNS, row.split(","))) for row in _rows(run_sweep(config))[1:]]
+    assert len(rows) == 60 * len(list(config.cells()))
+    for row in rows:
+        assert row["converged"] == "true", row
+        for chain, bound in (("chain4", 4.0), ("chain2", 2.0), ("chain8", 8.0)):
+            assert row[chain] and float(row[chain]) <= bound, row
+
+
+def test_trial_takes_one_cold_solve(eigh_calls, eigvalsh_calls):
+    # The Parseval frame's and the complement's solves start from the
+    # perturbed frame's weights and stop at their first evaluation: one eigh
+    # and one eigvalsh each.
+    for m, n in [(3, 8), (4, 24), (6, 30)]:
+        eigh_calls.clear()
+        eigvalsh_calls.clear()
+        sweep.run_trial(m, n, 0.05, 1234, 1e-10, 10000)
+        assert len(eigh_calls) == 14
+        assert len(eigvalsh_calls) == 20
