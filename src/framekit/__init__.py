@@ -32,7 +32,7 @@ from .frames import (
     gram,
     vector_norms_sq,
 )
-from .linalg import HermEig, SingularMatrixError, herm_eig, hs_norm
+from .linalg import herm_eig, hs_norm
 from .naimark import (
     NaimarkReductionReport,
     complement_defect_bound,

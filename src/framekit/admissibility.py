@@ -10,6 +10,7 @@ arbitrary admissible pair is out of scope.  The prescribed-norm nearness
 solver reuses the Newton loop with per-vector targets c_i = a_i^2.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,11 +53,12 @@ class AdmissibleSequence:
 
     def __init__(self, values, target_dim: int):
         arr = _positive_floats(values, "values")
-        if target_dim < 1:
-            raise ValueError(f"target_dim must be >= 1, got {target_dim!r}")
+        dim = target_dim
+        if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
+            raise ValueError(f"target_dim must be an integer >= 1, got {dim!r}")
         self.original = arr.copy()
         self.values = np.sort(arr)[::-1].copy()
-        self.target_dim = int(target_dim)
+        self.target_dim = int(dim)
 
     def __len__(self) -> int:
         return self.values.size
@@ -81,7 +83,9 @@ class SpectrumSpec:
 
 
 def feasible_norm_targets(m: int, n: int, rng: np.random.Generator) -> AdmissibleSequence:
-    """Random Parseval-admissible norm sequence (squares sum to m, all < 1)."""
+    """Random Parseval-admissible sequence of n > m norms (squares sum to m, all < 1)."""
+    if n <= m:
+        raise ValueError(f"need more vectors than dimensions, got n={n!r}, m={m!r}")
     a2 = rng.uniform(0.2, 1.0, size=n)
     a2 *= m / np.sum(a2)
     top = float(np.max(a2))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, clears_floor, herm_eig, hs_norm, inv_sqrt_eig
+from .linalg import as_matrix, clears_floor, herm_eig, hs_norm
 
 __all__ = [
     "RankDeficientError",
@@ -28,6 +28,7 @@ __all__ = [
     "frame_operator",
     "frame_bounds",
     "gram",
+    "vector_gram",
     "vector_norms_sq",
     "parseval_defect",
     "norm_defect",
@@ -52,8 +53,8 @@ class Frame:
     ``ValueError``) and the spanning property (the frame-operator spectrum
     passes :func:`framekit.linalg.clears_floor`); rank-deficient vector
     lists are rejected outright.  The eigendecomposition of the frame
-    operator made for that check is kept, and every reader of the spectrum
-    reuses it.  Instances are immutable.
+    operator made for that check is kept as :attr:`eig`, and every reader
+    of the spectrum reuses it.  Instances are immutable.
     """
 
     __slots__ = ("_vectors", "_eig")
@@ -74,8 +75,7 @@ class Frame:
                 "vectors are too large: the frame operator overflows to Inf or NaN"
             )
         eig = herm_eig(s)
-        lam_min = float(eig.eigenvalues[-1])
-        lam_max = float(eig.eigenvalues[0])
+        lam_min, lam_max = float(eig.eigenvalues[0]), float(eig.eigenvalues[-1])
         if not clears_floor(lam_min, lam_max):
             raise RankDeficientError(
                 f"vectors do not span C^{m}: smallest frame-operator eigenvalue "
@@ -90,6 +90,12 @@ class Frame:
     def vectors(self) -> np.ndarray:
         """(N, M) array; row i is the i-th frame vector."""
         return self._vectors
+
+    @property
+    def eig(self):
+        """Read-only eigendecomposition of the frame operator, as
+        :func:`framekit.linalg.herm_eig` returns it: eigenvalues ascending."""
+        return self._eig
 
     @property
     def dim(self) -> int:
@@ -129,13 +135,17 @@ def frame_operator(frame: Frame) -> np.ndarray:
 
 def frame_bounds(frame: Frame) -> tuple[float, float]:
     """Optimal frame bounds (A, B) = extreme eigenvalues of the frame operator."""
-    evals = frame._eig.eigenvalues
-    return float(evals[-1]), float(evals[0])
+    evals = frame.eig.eigenvalues
+    return float(evals[0]), float(evals[-1])
 
 
 def gram(frame: Frame) -> np.ndarray:
     """N x N Gram matrix with entries G[i, j] = <f_j, f_i>."""
-    v = frame.vectors
+    return vector_gram(frame.vectors)
+
+
+def vector_gram(v: np.ndarray) -> np.ndarray:
+    """N x N Gram matrix of an (N, M) array of frame vectors."""
     g = np.conj(v) @ v.T
     return 0.5 * (g + g.conj().T)
 
@@ -166,8 +176,9 @@ def defects(frame: Frame) -> FrameDefects:
 
 def canonical_parseval(frame: Frame) -> Frame:
     """The Parseval frame {S^{-1/2} f_i}, the closest Parseval frame to F."""
-    r = inv_sqrt_eig(frame._eig)
-    return Frame(frame.vectors @ r.T)
+    evals, evecs = frame.eig
+    r = (evecs * evals**-0.5) @ evecs.conj().T
+    return Frame(frame.vectors @ (0.5 * (r + r.conj().T)).T)
 
 
 def _check_same_shape(f: Frame, g: Frame) -> None:

@@ -18,6 +18,7 @@ explicitly with the best iterate, never silently.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -30,12 +31,14 @@ from .frames import (
     analysis_image_distance,
     canonical_parseval,
     defects,
+    frame_bounds,
     frame_distance,
     gram,
     hs_norm,
     norm_defect,
     parseval_defect,
     vector_distance,
+    vector_gram,
 )
 from .linalg import clears_floor
 from .subspaces import procrustes_rotate, projection_from_frame, require_parseval
@@ -99,10 +102,11 @@ class SolverConfig:
     max_iterations: int = 10000
 
     def __post_init__(self):
-        if not self.tolerance > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance!r}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations!r}")
+        tol, cap = self.tolerance, self.max_iterations
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol > 0:
+            raise ValueError(f"tolerance must be a positive number, got {tol!r}")
+        if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1:
+            raise ValueError(f"max_iterations must be an integer >= 1, got {cap!r}")
 
 
 @dataclass(frozen=True)
@@ -336,12 +340,15 @@ def parseval_pair(seed, target_delta: float, m: int, n: int):
 
 
 def near_parseval_frame(eps: float, m: int, n: int, seed) -> Frame:
-    """Frame with parseval_eps = eps exactly and equal-norm defect <= eps.
+    """Frame with parseval_eps = eps exactly and equal-norm defect <= eps, for
+    0 <= eps < 1 (``ValueError`` otherwise).
 
     Applies an invertible Hermitian map with extreme eigenvalues
     sqrt(1 +/- eps) to a random equal-norm Parseval frame, so the
     frame-operator spectrum attains both ends of [1 - eps, 1 + eps].
     """
+    if not 0.0 <= eps < 1.0:
+        raise ValueError(f"eps must lie in [0, 1), got {eps!r}")
     rng = np.random.default_rng(seed)
     base = random_equal_norm_parseval(m, n, derive_seed(seed, "base"))
     mu = np.sqrt(rng.uniform(1.0 - eps, 1.0 + eps, size=m))
@@ -440,20 +447,14 @@ def _newton_solve(frame: Frame, targets_sq: np.ndarray, cfg: SolverConfig, start
     vectors = frame.vectors
     n = vectors.shape[0]
     t = np.zeros(n) if start is None else _checked_start(start, n)
-    evals, evecs = frame._eig
     best, best_defect = vectors, max(
-        parseval_defect(evals[-1], evals[0]),
+        parseval_defect(*frame_bounds(frame)),
         norm_defect((np.abs(vectors) ** 2).sum(axis=1), targets_sq),
     )
     if best_defect <= cfg.tolerance:
         return vectors, np.zeros(n), 0, "converged", False
-    v, eig = vectors, None
-    if start is None:
-        # The Frame's eigh made these bits from the same product; its
-        # descending order is reversed into contiguous copies, since
-        # matmul's rounding depends on operand layout.
-        eig = np.ascontiguousarray(evals[::-1]), np.ascontiguousarray(evecs[:, ::-1])
-    current = _scaled_parseval(v, t, targets_sq, eig)
+    v = vectors
+    current = _scaled_parseval(v, t, targets_sq, frame.eig if start is None else None)
     dead = current is not None and current[1] < ZERO_VECTOR_NORM**2
     degenerate = bool(np.any(dead))
     if degenerate:
@@ -637,10 +638,10 @@ def equivalence_chain_projection_to_frame(instance: PaulsenInstance) -> Projecti
     eps = defects(frame).equal_norm_eps
     if eps >= 1.0:
         raise ValueError(f"projection diagonal defect {eps:.3e} must be < 1")
-    f = Frame(np.conj(np.linalg.qr(np.conj(frame.vectors))[0]))
-    extraction_residual = hs_norm(gram(f) - gram(frame))
-    lifted = procrustes_rotate(instance.solution.vectors, f.vectors)
-    lift_distance = vector_distance(f.vectors, lifted)
+    extracted = np.conj(np.linalg.qr(np.conj(frame.vectors))[0])
+    extraction_residual = hs_norm(vector_gram(extracted) - gram(frame))
+    lifted = procrustes_rotate(instance.solution.vectors, extracted)
+    lift_distance = vector_distance(extracted, lifted)
     dist = instance.projection_distance
     return ProjectionToFrameReport(
         eps=eps,

@@ -171,17 +171,15 @@ def _check_equal_ranks(p: Projection, q: Projection) -> None:
 def _range_basis(p: Projection) -> np.ndarray:
     """N x M matrix with orthonormal columns spanning range(P).
 
-    Columns are the eigenvectors whose eigenvalue is within 1e-6 of 1; for a
-    validated projection the spectrum splits cleanly, so this is a sanity
-    gate rather than a numerical decision.
+    Columns are the eigenvectors of the top ``rank`` eigenvalues, each within
+    1e-6 of 1; for a validated projection the spectrum splits cleanly, so
+    this is a sanity gate rather than a numerical decision.
     """
-    eig = p._eig
-    m = p.rank
-    if eig.eigenvalues[m - 1] < 1.0 - 1e-6 or (
-        p.size > m and eig.eigenvalues[m] > 1e-6
-    ):
+    evals, evecs = p._eig
+    k = p.size - p.rank
+    if evals[k] < 1.0 - 1e-6 or (k > 0 and evals[k - 1] > 1e-6):
         raise ValueError("projection spectrum does not split at rank; matrix is corrupt")
-    return np.ascontiguousarray(eig.eigenvectors[:, :m])
+    return np.ascontiguousarray(evecs[:, k:])
 
 
 def _clamped_cosines(s: np.ndarray) -> np.ndarray:

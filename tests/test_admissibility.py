@@ -35,6 +35,11 @@ class TestSequenceTypes:
         with pytest.raises(ValueError, match="positive"):
             AdmissibleSequence([1.0, 0.0], 1)
 
+    @pytest.mark.parametrize("target_dim", [2.5, True])
+    def test_target_dim_must_be_an_integer(self, target_dim):
+        with pytest.raises(ValueError, match="target_dim must be an integer >= 1"):
+            AdmissibleSequence([1.0, 1.0, 0.5], target_dim)
+
     def test_spectrum_sorted(self):
         spec = SpectrumSpec([1.0, 3.0, 2.0])
         assert np.allclose(spec.eigenvalues, [3.0, 2.0, 1.0])
@@ -58,6 +63,19 @@ class TestParsevalAdmissible:
         verdict = is_parseval_admissible(AdmissibleSequence([0.5, 0.5], 2))
         assert not verdict
         assert "sum of squares" in verdict.violated
+
+
+class TestFeasibleNormTargets:
+    def test_targets_are_admissible_with_every_value_below_one(self):
+        for seed in range(20):
+            seq = feasible_norm_targets(3, 7, np.random.default_rng(seed))
+            assert is_parseval_admissible(seq)
+            assert float(seq.values[0]) < 1.0
+
+    @pytest.mark.parametrize("m, n", [(3, 3), (1, 1), (5, 3)])
+    def test_needs_more_vectors_than_dimensions(self, m, n):
+        with pytest.raises(ValueError, match=f"n={n}, m={m}"):
+            feasible_norm_targets(m, n, np.random.default_rng(0))
 
 
 class TestSpectrumAdmissible:

@@ -25,7 +25,6 @@ from framekit import (
     random_parseval,
     vector_norms_sq,
 )
-from framekit.linalg import inv_sqrt_eig
 from framekit.verify import canonical_slacks, factor4_slack, parseval_gram_slacks
 
 from conftest import complex_gaussian, within
@@ -212,9 +211,21 @@ class TestSpectrumReuse:
         for v in inputs:
             f = Frame(v)
             evals = herm_eig(frame_operator(f)).eigenvalues
-            assert frame_bounds(f) == (float(evals[-1]), float(evals[0]))
-            reference = f.vectors @ inv_sqrt_eig(herm_eig(frame_operator(f))).T
-            assert np.array_equal(canonical_parseval(f).vectors, reference)
+            assert frame_bounds(f) == (float(evals[0]), float(evals[-1]))
+            assert np.array_equal(f.eig.eigenvectors, herm_eig(frame_operator(f)).eigenvectors)
+
+    def test_eig_is_ascending_read_only_and_fresh(self, rng):
+        f = Frame(complex_gaussian(rng, (7, 3)))
+        evals, evecs = f.eig
+        assert np.all(np.diff(evals) >= 0)
+        fresh = herm_eig(frame_operator(f))
+        assert np.array_equal(evals, fresh.eigenvalues)
+        assert np.array_equal(evecs, fresh.eigenvectors)
+        with pytest.raises(AttributeError):
+            f.eig = None
+        for arr in (evals, evecs):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
 
 
 class TestDistanceAndPotential:

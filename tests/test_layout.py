@@ -1,5 +1,5 @@
-"""Import layering and the solver's documented stop reasons, read from the
-source with ``ast``."""
+"""Import layering, private attribute reads and the solver's documented
+stop reasons, read from the source with ``ast``."""
 
 import ast
 import re
@@ -84,6 +84,52 @@ def test_only_cli_imports_verify_and_only_for_its_suites():
         and not name.endswith(PROPERTY_SUFFIXES)
     ]
     assert taken == []
+
+
+def private_attributes(tree: ast.Module) -> set:
+    """The private names (one leading underscore) that the classes of a
+    module hold: ``__slots__`` entries, class-body names and the
+    ``self._name = ...`` targets of their methods."""
+    found = set()
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        for node in cls.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                    if isinstance(target, ast.Name) and target.id == "__slots__":
+                        found.update(
+                            c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)
+                        )
+                    elif isinstance(target, ast.Name):
+                        found.add(target.id)
+        for node in ast.walk(cls):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+            ):
+                found.add(node.attr)
+    return {name for name in found if name.startswith("_") and not name.startswith("__")}
+
+
+def test_no_private_attribute_read_across_modules():
+    # A read of x._name, x not self, is another module's business when
+    # _name belongs to a class defined there and to none defined here.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    owned = {name: private_attributes(tree) for name, tree in trees.items()}
+    assert {"_vectors", "_eig"} <= owned["frames.py"] and "_rank" in owned["subspaces.py"]
+    found = []
+    for name, tree in trees.items():
+        elsewhere = set().union(*(attrs for other, attrs in owned.items() if other != name))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)
+                and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+                and node.attr in elsewhere - owned[name]
+            ):
+                found.append(f"{name}:{node.lineno}: .{node.attr}")
+    assert found == []
 
 
 def _stop_reason_literals(func: ast.FunctionDef) -> set:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from framekit.linalg import SingularMatrixError, as_matrix, herm_eig, hs_norm, inv_sqrt_eig
+from framekit.linalg import as_matrix, herm_eig, hs_norm
 
 from conftest import complex_gaussian
 
@@ -15,16 +15,17 @@ def test_herm_eig_identity():
 
 def test_herm_eig_diagonal():
     out = herm_eig(np.diag([2.0, 1.0]))
-    assert np.allclose(out.eigenvalues, [2.0, 1.0])
+    assert np.allclose(out.eigenvalues, [1.0, 2.0])
+    assert np.allclose(np.abs(out.eigenvectors), [[0.0, 1.0], [1.0, 0.0]])
 
 
-def test_herm_eig_descending_and_reconstruction(rng):
+def test_herm_eig_ascending_and_reconstruction(rng):
     for _ in range(100):
         h = complex_gaussian(rng, (8, 8))
         h = h + h.conj().T
         out = herm_eig(h)
         assert out.eigenvalues.dtype.kind == "f"
-        assert np.all(np.diff(out.eigenvalues) <= 0)
+        assert np.all(np.diff(out.eigenvalues) >= 0)
         recon = (out.eigenvectors * out.eigenvalues) @ out.eigenvectors.conj().T
         assert hs_norm(h - recon) <= 1e-9 * max(1.0, hs_norm(h))
 
@@ -42,36 +43,6 @@ def test_herm_eig_projection_eigenvalues_near_01(rng):
         evals = herm_eig(p).eigenvalues
         dist = np.minimum(np.abs(evals), np.abs(evals - 1.0))
         assert np.max(dist) <= 1e-8
-
-
-def test_inv_sqrt_identity():
-    assert np.allclose(inv_sqrt_eig(herm_eig(np.eye(3))), np.eye(3))
-
-
-def test_inv_sqrt_diagonal():
-    assert np.allclose(inv_sqrt_eig(herm_eig(np.diag([4.0, 1.0]))), np.diag([0.5, 1.0]))
-
-
-def test_inv_sqrt_random_gram(rng):
-    t = complex_gaussian(rng, (9, 4))
-    s = t.conj().T @ t
-    r = inv_sqrt_eig(herm_eig(s))
-    assert hs_norm(r - r.conj().T) <= 1e-10
-    assert hs_norm(r @ s @ r - np.eye(4)) <= 1e-8
-    assert hs_norm(r @ s - s @ r) <= 1e-8
-
-
-def test_inv_sqrt_singular_names_eigenvalue():
-    with pytest.raises(SingularMatrixError, match="eigenvalue"):
-        inv_sqrt_eig(herm_eig(np.diag([1.0, 0.0])))
-
-
-@pytest.mark.parametrize("c", [1e-14, 1.0, 1e14])
-def test_inv_sqrt_singularity_floor_is_relative(c):
-    r = inv_sqrt_eig(herm_eig(c * np.eye(2)))
-    assert np.allclose(r, np.eye(2) / np.sqrt(c), rtol=1e-12, atol=0.0)
-    with pytest.raises(SingularMatrixError):
-        inv_sqrt_eig(herm_eig(c * np.diag([1.0, 1e-13])))
 
 
 def test_as_matrix_rejects_nan_and_bad_shape():

@@ -24,6 +24,7 @@ from framekit import (
     haar_unitary,
     harmonic_frame,
     hs_norm,
+    near_parseval_frame,
     nearest_equal_norm_parseval,
     paulsen,
     perturb,
@@ -161,6 +162,29 @@ class TestSolverConfig:
             SolverConfig(tolerance=0.0)
         with pytest.raises(ValueError):
             SolverConfig(max_iterations=0)
+
+    @pytest.mark.parametrize(
+        "field, value", [("max_iterations", 1.5), ("max_iterations", True), ("tolerance", True)]
+    )
+    def test_rejects_non_integer_counts_and_bools(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: value})
+
+    def test_accepts_numpy_scalars(self):
+        cfg = SolverConfig(tolerance=np.float64(1e-8), max_iterations=np.int64(5))
+        inst = nearest_equal_norm_parseval(perturb(harmonic_frame(2, 5), 0.05, 1), cfg)
+        assert inst.converged and inst.iterations > 0
+
+
+class TestNearParsevalFrame:
+    def test_parseval_defect_is_eps(self):
+        for eps in (0.0, 0.3):
+            assert abs(defects(near_parseval_frame(eps, 3, 7, 4)).parseval_eps - eps) <= 1e-12
+
+    @pytest.mark.parametrize("eps", [-0.1, 1.0, math.nan])
+    def test_eps_outside_unit_interval_rejected(self, eps):
+        with pytest.raises(ValueError, match="eps must lie in"):
+            near_parseval_frame(eps, 3, 7, 0)
 
 
 class TestNearestEqualNormParseval:

@@ -17,7 +17,7 @@ SMALL = {
     "tolerance": 1e-10,
     "output_path": "small.csv",
 }
-SMALL_SHA256 = "ec0d2f7124397299a81954d2516cdf6cc37c836ad63a669a49f637966d604a4f"
+SMALL_SHA256 = "76d3dc6039c9b016eaa2b502631ae3439cc0f9a1fca197e59ad5abfcec69db36"
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -149,5 +149,5 @@ def test_trial_takes_one_cold_solve(eigh_calls, eigvalsh_calls):
         eigh_calls.clear()
         eigvalsh_calls.clear()
         sweep.run_trial(m, n, 0.05, 1234, 1e-10, 10000)
-        assert len(eigh_calls) == 14
+        assert len(eigh_calls) == 13
         assert len(eigvalsh_calls) == 20
