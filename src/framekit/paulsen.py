@@ -85,11 +85,18 @@ LINE_SEARCH_HALVINGS = 40
 # first Newton step can, driving one weight towards zero.
 PHI_ROUNDING = 1e-12
 
-# perturb stops bisecting its amplitude once the bracket [lo, hi] satisfies
-# hi - lo <= PERTURB_BRACKET_RTOL * hi, and gives up (keeping the largest
-# amplitude found within the cap) after PERTURB_MAX_ATTEMPTS candidates.
+# perturb places its amplitude a relative PERTURB_EXIT_RTOL below the first
+# exit from the cap.  Should rounding put the returned frame's own defects
+# over the cap anyway, it steps the amplitude back by a relative
+# PERTURB_BRACKET_RTOL up to PERTURB_STEP_BACKS times and then halves it;
+# after PERTURB_MAX_ATTEMPTS frames it returns the input, which is within the
+# cap.  A root s of the Parseval exit's quadratic eigenvalue problem counts as
+# real when |Im s| <= PERTURB_REAL_RTOL * |s|.
+PERTURB_EXIT_RTOL = 1e-9
 PERTURB_BRACKET_RTOL = 2.0**-12
+PERTURB_STEP_BACKS = 4
 PERTURB_MAX_ATTEMPTS = 60
+PERTURB_REAL_RTOL = 1e-7
 
 
 class ConvergenceError(RuntimeError):
@@ -103,8 +110,8 @@ class SolverConfig:
 
     def __post_init__(self):
         tol, cap = self.tolerance, self.max_iterations
-        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol > 0:
-            raise ValueError(f"tolerance must be a positive number, got {tol!r}")
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
+            raise ValueError(f"tolerance must be a finite positive number, got {tol!r}")
         if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1:
             raise ValueError(f"max_iterations must be an integer >= 1, got {cap!r}")
 
@@ -197,12 +204,15 @@ def harmonic_frame(m: int, n: int) -> Frame:
 
     Vector i is (1/sqrt(N)) (w^{ij})_{j=0..M-1} with w = exp(2 pi i / N).
     """
+    return Frame(_harmonic_vectors(m, n))
+
+
+def _harmonic_vectors(m: int, n: int) -> np.ndarray:
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= dim <= n_vectors, got dim={m}, n_vectors={n}")
     i = np.arange(n).reshape(-1, 1)
     j = np.arange(m).reshape(1, -1)
-    v = np.exp(2j * np.pi * i * j / n) / math.sqrt(n)
-    return Frame(v)
+    return np.exp(2j * np.pi * i * j / n) / math.sqrt(n)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -236,24 +246,23 @@ def random_parseval(m: int, n: int, seed) -> Frame:
 def random_equal_norm_parseval(m: int, n: int, seed) -> Frame:
     """Haar-rotated harmonic frame: a random equal-norm Parseval frame."""
     u = haar_unitary(m, np.random.default_rng(seed))
-    return Frame(harmonic_frame(m, n).vectors @ u.T)
+    return Frame(_harmonic_vectors(m, n) @ u.T)
 
 
 def perturb(frame: Frame, eps: float, seed) -> Frame:
     """Random perturbation of an equal-norm Parseval frame with both defects
-    capped at ``eps``.
+    capped at ``eps``: the first exit from the cap, in closed form.
 
     A fixed Gaussian direction, scaled to the frame's Hilbert-Schmidt norm,
-    is drawn from ``seed``.  Its amplitude t is bracketed by doubling or
-    halving from t = eps and then bisected until the bracket is within
-    ``PERTURB_BRACKET_RTOL`` of its upper end, keeping the largest amplitude
-    whose defects stay at or below the cap, so outputs sit within about
-    that fraction of the cap.  Each candidate amplitude is scored from the
-    eigenvalues of its M x M frame operator and its row norms, with the
-    spanning test of :class:`Frame` and the defects of :func:`defects`;
-    only the returned frame is constructed, and its own defects are checked
-    against the cap, stepping the amplitude back by the bracket tolerance in
-    the rare case that rounding puts it over.
+    is drawn from ``seed``.  Along it every squared norm is a quadratic in
+    the amplitude t, and the frame operator is S(t) = S + tC + t^2 D, so t
+    leaves the cap at the smallest root t >= 0 of a norm quadratic or of
+    det(S(t) - (1 +/- eps) I) (see ``_norm_exit`` and ``_parseval_exit``).
+    The returned frame sits a relative ``PERTURB_EXIT_RTOL`` below that
+    exit, and its own defects are checked against the cap: the amplitude
+    steps back in the rare case that rounding puts it over, and is halved
+    should a misplaced root leave it over still.  Amplitude 0 is the input,
+    within the cap, so a valid input never raises.
     """
     d = defects(frame)
     if d.max() > 1e-9:
@@ -268,38 +277,68 @@ def perturb(frame: Frame, eps: float, seed) -> Frame:
             f"eps {eps!r} is below the input's own defect floor {d.max():.3e}"
         )
     rng = np.random.default_rng(seed)
-    n, m = frame.vectors.shape
+    v = frame.vectors
+    n, m = v.shape
     direction = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-    direction *= hs_norm(frame.vectors) / hs_norm(direction)
-    target = m / n
-
-    def within_cap(t: float) -> bool:
-        v = frame.vectors + t * direction
-        s = v.T @ v.conj()
-        evals = np.linalg.eigvalsh(0.5 * (s + s.conj().T))
-        if not clears_floor(evals[0], evals[-1]):
-            return False
-        norms_sq = np.sum(np.abs(v) ** 2, axis=1)
-        return max(parseval_defect(evals[0], evals[-1]), norm_defect(norms_sq, target)) <= eps
-
-    # t = 0 is the input itself, within the cap by the checks above; hi is
-    # the smallest amplitude seen to exceed it.
-    lo, hi, t = 0.0, math.inf, eps
-    for _ in range(PERTURB_MAX_ATTEMPTS):
-        if within_cap(t):
-            lo = t
-        else:
-            hi = t
-        if hi < math.inf and hi - lo <= PERTURB_BRACKET_RTOL * hi:
-            break
-        t = 2.0 * lo if math.isinf(hi) else 0.5 * (lo + hi)
-    while True:
-        out = Frame(frame.vectors + lo * direction)
+    direction *= hs_norm(v) / hs_norm(direction)
+    t = min(_norm_exit(v, direction, eps), _parseval_exit(frame, direction, eps))
+    t *= 1.0 - PERTURB_EXIT_RTOL
+    for attempt in range(PERTURB_MAX_ATTEMPTS):
+        out = Frame(v + t * direction)
         if defects(out).max() <= eps:
             return out
-        # eigvalsh and the Frame's eigh can round an extreme eigenvalue to
-        # either side of the cap when lo sits within rounding of it.
-        lo = max(0.0, lo - PERTURB_BRACKET_RTOL * hi)
+        # The Frame's eigh can round an extreme eigenvalue over the cap when
+        # t sits within rounding of the exit; only a misplaced root needs
+        # the halving.
+        t *= 1.0 - PERTURB_BRACKET_RTOL if attempt < PERTURB_STEP_BACKS else 0.5
+    return frame
+
+
+def _norm_exit(v: np.ndarray, direction: np.ndarray, eps: float) -> float:
+    """Smallest t >= 0 at which a squared norm ||v_i + t d_i||^2 reaches
+    (1 +/- eps) M/N.  It is finite: every norm within the cap reaches
+    (1 + eps) M/N at some t >= 0."""
+    n, m = v.shape
+    a = np.sum(np.abs(v) ** 2, axis=1)
+    b = np.sum(v * direction.conj(), axis=1).real
+    c = np.sum(np.abs(direction) ** 2, axis=1)
+    # a_i + 2 b_i t + c_i t^2 = target, i.e. c_i t^2 + 2 b_i t + g_i = 0, with
+    # the roots q/c_i and g_i/q taken from q = -(b_i + sign(b_i) sqrt(disc))
+    # so that neither cancels.
+    g = a - (m / n) * np.array([[1.0 + eps], [1.0 - eps]])
+    disc = b * b - c * g
+    q = -(b + np.copysign(np.sqrt(np.maximum(disc, 0.0)), b))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = np.stack([q / c, g / q])
+    return float(np.min(roots, where=(roots >= 0.0) & (disc >= 0.0), initial=math.inf))
+
+
+def _parseval_exit(frame: Frame, direction: np.ndarray, eps: float) -> float:
+    """Smallest t >= 0 at which an eigenvalue of the frame operator of
+    ``frame.vectors + t * direction`` reaches 1 +/- eps, or inf.
+
+    In the eigenbasis of S that ``frame`` keeps, K = S - (1 +/- eps) I is
+    the diagonal k, whose entries lie within the input's own defect of
+    -/+ eps, so dividing by it is well conditioned.  With s = 1/t,
+    det(K + tC + t^2 D) = 0 becomes det(s^2 + s K^-1 C + K^-1 D) = 0, whose
+    roots are the eigenvalues of one 2M x 2M companion matrix per sign; D is
+    never inverted.  The exit is 1/s for the largest real positive root.
+    """
+    lam, q = frame.eig
+    m = lam.size
+    vq, dq = frame.vectors @ q.conj(), direction @ q.conj()
+    x = vq.T @ dq.conj()
+    k = lam - np.array([[1.0 + eps], [1.0 - eps]])
+    if not k.all():
+        # an eigenvalue of the input sits on the cap
+        return 0.0
+    companion = np.zeros((2, 2 * m, 2 * m), dtype=np.complex128)
+    companion[:, :m, m:] = np.eye(m)
+    companion[:, m:, :m] = -(dq.T @ dq.conj()) / k[:, :, None]
+    companion[:, m:, m:] = -(x + x.conj().T) / k[:, :, None]
+    s = np.linalg.eigvals(companion).ravel()
+    real = s[(s.real > 0.0) & (np.abs(s.imag) <= PERTURB_REAL_RTOL * np.abs(s))]
+    return 1.0 / float(real.real.max()) if real.size else math.inf
 
 
 def _wiggle(frame: Frame, amplitude: float, seed) -> Frame:

@@ -185,6 +185,14 @@ class TestSolve:
         assert report["converged"] is False
         assert report["iterations"] <= 50
 
+    def test_infinite_tolerance_exits_2(self, tmp_path):
+        path = tmp_path / "perturbed.json"
+        dump_json(frame_to_dict(perturb(random_equal_norm_parseval(3, 8, 1), 0.01, 1)), str(path))
+        res = run_cli("solve", str(path), "--tol", "inf")
+        assert res.returncode == 2
+        assert "tolerance must be a finite positive number" in res.stderr
+        assert res.stdout == ""
+
     def test_non_convergence_exits_3(self, perturbed_file):
         res = run_cli("solve", perturbed_file, "--max-iter", "1", "--tol", "1e-14")
         assert res.returncode == 3

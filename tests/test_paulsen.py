@@ -80,6 +80,31 @@ class TestHaarUnitary:
         assert hs_norm(u.conj().T @ u - np.eye(5)) <= 1e-12
 
 
+class TestRandomEqualNormParseval:
+    @pytest.mark.parametrize("m, n", [(1, 1), (1, 6), (3, 8), (5, 5), (8, 40)])
+    def test_rotates_the_harmonic_frame_with_one_eigh(self, m, n, eigh_calls):
+        for seed in range(3):
+            expected = harmonic_frame(m, n).vectors @ haar_unitary(m, np.random.default_rng(seed)).T
+            eigh_calls.clear()
+            f = random_equal_norm_parseval(m, n, seed)
+            assert np.array_equal(f.vectors, expected)
+            assert eigh_calls == [(m, m)]
+
+
+def perturb_cases(count: int = 200):
+    """Seeded (M, N, eps, seed) for perturb: M 1-8, N from M to 40, eps
+    log-uniform from 1e-9 to 0.99, with the corners and every fourth draw
+    square."""
+    corners = [(m, n, eps) for m, n in [(1, 1), (1, 40), (8, 8), (8, 40)] for eps in (1e-9, 0.99)]
+    for seed, (m, n, eps) in enumerate(corners):
+        yield m, n, eps, seed
+    rng = np.random.default_rng(608)
+    for seed in range(len(corners), count):
+        m = int(rng.integers(1, 9))
+        n = m if seed % 4 == 0 else int(rng.integers(m, 41))
+        yield m, n, float(10.0 ** rng.uniform(-9.0, math.log10(0.99))), seed
+
+
 class TestPerturb:
     def test_defect_cap_always_holds(self):
         base = harmonic_frame(3, 8)
@@ -115,7 +140,7 @@ class TestPerturb:
             f = perturb(random_equal_norm_parseval(m, n, seed), eps, seed)
             assert (1.0 - 1e-3) * eps <= defects(f).max() <= eps
 
-    def test_scores_few_candidates_and_builds_one_frame(self, eigh_calls, eigvalsh_calls):
+    def test_runs_no_eigvalsh_and_one_eigh(self, eigh_calls, eigvalsh_calls):
         rng = np.random.default_rng(607)
         for seed in range(50):
             m = int(rng.integers(1, 9))
@@ -124,21 +149,52 @@ class TestPerturb:
             eigh_calls.clear()
             eigvalsh_calls.clear()
             perturb(base, float(rng.uniform(0.005, 0.2)), seed)
-            assert 1 <= len(eigvalsh_calls) < 20
-            assert all(shape == (m, m) for shape in eigvalsh_calls)
+            assert eigvalsh_calls == []
             # the returned Frame's own decomposition, and nothing else
             assert eigh_calls == [(m, m)]
 
-    def test_cap_holds_when_candidate_scores_round_low(self, monkeypatch):
-        # scores whose eigenvalues sit 0.1% closer to 1 than the Frame's own
-        # accept amplitudes just past the cap; the result must still meet it
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(
-            np.linalg, "eigvalsh", lambda a: 1.0 + (eigvalsh(a) - 1.0) * (1.0 - 1e-3)
-        )
-        for seed in range(20):
-            f = perturb(random_equal_norm_parseval(3, 8, seed), 0.05, seed)
+    def test_cap_holds_when_exit_roots_come_out_large(self, monkeypatch):
+        # roots s = 1/t shrunk by 0.1% place the Parseval exit 0.1% past the
+        # cap; the result must still meet it
+        bases = [random_equal_norm_parseval(3, 8, seed) for seed in range(20)]
+        unbiased = [perturb(base, 0.05, seed) for seed, base in enumerate(bases)]
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: eigvals(a) / (1.0 + 1e-3))
+        moved = 0
+        for seed, base in enumerate(bases):
+            f = perturb(base, 0.05, seed)
             assert defects(f).max() <= 0.05
+            moved += not np.array_equal(f.vectors, unbiased[seed].vectors)
+        # the Parseval exit comes first for some of these seeds
+        assert moved > 0
+
+    def test_cap_holds_through_halving_when_no_root_is_real(self, monkeypatch, eigh_calls):
+        # with no real root the Parseval exit is lost; where it comes first
+        # the norm exit lies past the cap, and only halving gets back in
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.full(np.shape(a)[:-1], 1j))
+        halved = 0
+        for seed in range(20):
+            base = random_equal_norm_parseval(3, 8, seed)
+            eigh_calls.clear()
+            f = perturb(base, 0.05, seed)
+            assert defects(f).max() <= 0.05
+            halved += len(eigh_calls) > 1 + paulsen.PERTURB_STEP_BACKS
+        assert halved > 0
+
+    def test_first_exit_lands_at_the_cap(self):
+        for m, n, eps, seed in perturb_cases():
+            d = defects(perturb(random_equal_norm_parseval(m, n, seed), eps, seed)).max()
+            assert d <= eps, (m, n, eps, seed)
+            if eps >= 1e-6:
+                assert d >= (1.0 - 1e-6) * eps, (m, n, eps, seed)
+
+    def test_no_earlier_exit_is_skipped(self):
+        # every amplitude up to the returned one keeps both defects in the cap
+        for m, n, eps, seed in perturb_cases():
+            base = random_equal_norm_parseval(m, n, seed)
+            step = perturb(base, eps, seed).vectors - base.vectors
+            for t in np.linspace(0.0, 1.0, 64):
+                assert defects(Frame(base.vectors + t * step)).max() <= eps, (m, n, eps, seed, t)
 
     def test_rejects_non_equal_norm_input(self):
         with pytest.raises(ValueError, match="equal-norm Parseval"):
@@ -160,6 +216,8 @@ class TestSolverConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(tolerance=0.0)
+        with pytest.raises(ValueError, match="tolerance must be a finite positive number"):
+            SolverConfig(tolerance=math.inf)
         with pytest.raises(ValueError):
             SolverConfig(max_iterations=0)
 

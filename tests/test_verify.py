@@ -25,18 +25,18 @@ PINNED_WORSTS = {
     },
     ("equivalence", 6): {
         "frame-to-projection-factor-4": "0.0",
-        "solved-gram-constant-diagonal": "1.1102230246251565e-15",
+        "solved-gram-constant-diagonal": "1.5543122344752192e-15",
         "projection-to-frame-factor-2": "0.0",
-        "projection-frame-extraction": "3.602805222139067e-15",
+        "projection-frame-extraction": "5.164467155552358e-15",
         "solver-beats-unconstrained-nearest": "0.0",
-        "solver-unitary-invariant-distance": "7.45931094670027e-17",
-        "solver-permutation-equivariant": "1.159106867033638e-15",
+        "solver-unitary-invariant-distance": "1.222980050563649e-16",
+        "solver-permutation-equivariant": "1.1226435567921847e-15",
     },
     ("naimark", 6): {
-        "complement-gram-identity": "2.610376072716431e-15",
-        "complement-norm-identity": "5.551115123125783e-16",
-        "complement-defect-transfer": "6.288372600415926e-16",
-        "double-complement-restores-gram": "2.8361951823619765e-15",
+        "complement-gram-identity": "3.934047361996185e-15",
+        "complement-norm-identity": "8.881784197001252e-16",
+        "complement-defect-transfer": "8.881784197001252e-16",
+        "double-complement-restores-gram": "4.106446631154886e-15",
         "complement-route-factor-8": "0.0",
         "reduction-always-small": "0.0",
     },
@@ -44,8 +44,8 @@ PINNED_WORSTS = {
         "parseval-admissibility-verdicts": "0.0",
         "spectrum-admissibility-verdicts": "0.0",
         "identity-spectrum-agreement": "0.0",
-        "prescribed-norm-solver-hits-targets": "1.2212453270876722e-15",
-        "prescribed-norm-solver-parseval": "6.867839630331218e-13",
+        "prescribed-norm-solver-hits-targets": "9.992007221626409e-16",
+        "prescribed-norm-solver-parseval": "6.861178292183467e-13",
     },
 }
 
