@@ -1,8 +1,9 @@
 """Projections, principal angles, chordal distance, and the frame lift.
 
 The squared chordal distance between two rank-M ranges equals half the
-summed squared distance between the projections' columns, and aligned
-orthonormal bases realize that distance up to a factor in [1, 4].  The
+summed squared distance between the projections' columns, and the
+principal vectors, orthonormal bases of the two ranges paired along the
+principal angles, realize that distance up to a factor in [1, 4].  The
 frame lift carries a Parseval frame onto any prescribed Gram projection
 while moving it by at most twice the projection distance.
 """
@@ -11,7 +12,6 @@ import numpy as np
 
 from framekit import (
     Projection,
-    aligned_bases,
     chordal_sq,
     defects,
     frame_distance,
@@ -32,9 +32,8 @@ ang = principal_angles(p, q)
 print(f"projection distance d(P,Q) = {proj_distance(p, q):.6f}  (expected 2)")
 print(f"chordal^2 = {chordal_sq(p, q):.6f}  (expected 1 = d/2)")
 print(f"cosines = {ang.cosines}, angles = {ang.angles}")
-ab = aligned_bases(p, q)
-s = ab.pair_distance_sq_sum()
-print(f"aligned-basis sum ||a_j - b_j||^2 = {s:.6f}, inside [dc^2, 4 dc^2] = [1, 4]")
+s = ang.pair_distance_sq_sum()
+print(f"principal-vector sum ||a_j - b_j||^2 = {s:.6f}, inside [dc^2, 4 dc^2] = [1, 4]")
 
 print()
 print("=== the identities hold for random pairs ===")
@@ -44,9 +43,10 @@ p, q = projection_from_frame(pf), projection_from_frame(qf)
 d = proj_distance(p, q)
 dc = chordal_sq(p, q)
 print(f"d(P,Q) = {d:.6f}, chordal^2 = {dc:.6f}, |dc^2 - d/2| = {abs(dc - d / 2):.2e}")
-print(f"sum sin^2(theta) = {principal_angles(p, q).sin_sq_sum():.6f}")
-s = aligned_bases(p, q).pair_distance_sq_sum()
-print(f"aligned sum = {s:.6f}, sandwich [{dc:.6f}, {4 * dc:.6f}]")
+ang = principal_angles(p, q)
+print(f"sum sin^2(theta) = {ang.sin_sq_sum():.6f}")
+s = ang.pair_distance_sq_sum()
+print(f"principal-vector sum = {s:.6f}, sandwich [{dc:.6f}, {4 * dc:.6f}]")
 
 print()
 print("=== lifting a Parseval frame onto a prescribed Gram projection ===")

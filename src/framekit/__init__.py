@@ -60,10 +60,8 @@ from .paulsen import (
     random_projection_pair,
 )
 from .subspaces import (
-    AlignedBases,
     PrincipalAngles,
     Projection,
-    aligned_bases,
     chordal_sq,
     diagonal_defect,
     frame_from_projection,

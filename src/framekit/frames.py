@@ -28,7 +28,6 @@ __all__ = [
     "frame_operator",
     "frame_bounds",
     "gram",
-    "vector_gram",
     "vector_norms_sq",
     "parseval_defect",
     "norm_defect",
@@ -141,11 +140,7 @@ def frame_bounds(frame: Frame) -> tuple[float, float]:
 
 def gram(frame: Frame) -> np.ndarray:
     """N x N Gram matrix with entries G[i, j] = <f_j, f_i>."""
-    return vector_gram(frame.vectors)
-
-
-def vector_gram(v: np.ndarray) -> np.ndarray:
-    """N x N Gram matrix of an (N, M) array of frame vectors."""
+    v = frame.vectors
     g = np.conj(v) @ v.T
     return 0.5 * (g + g.conj().T)
 

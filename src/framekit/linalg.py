@@ -13,7 +13,7 @@ Not every decomposition goes through here.  The Newton solver calls
 ``eigh`` of each weighted frame operator, ``eigvalsh`` of each iterate's,
 ``solve`` for each Newton step and ``svd`` for the closing Procrustes
 rotation.
-``subspaces`` calls ``numpy.linalg.svd`` for principal angles, aligned bases
+``subspaces`` calls ``numpy.linalg.svd`` for principal angles and vectors
 and every lift's Procrustes rotation, and ``numpy.linalg.qr`` serves
 ``naimark``'s complement bases, chain 2's extracted frame and
 ``paulsen.haar_unitary``.

@@ -33,12 +33,10 @@ from .frames import (
     defects,
     frame_bounds,
     frame_distance,
-    gram,
     hs_norm,
     norm_defect,
     parseval_defect,
     vector_distance,
-    vector_gram,
 )
 from .linalg import clears_floor
 from .subspaces import procrustes_rotate, projection_from_frame, require_parseval
@@ -85,16 +83,14 @@ LINE_SEARCH_HALVINGS = 40
 # first Newton step can, driving one weight towards zero.
 PHI_ROUNDING = 1e-12
 
-# perturb places its amplitude a relative PERTURB_EXIT_RTOL below the first
+# perturb places its amplitude t a relative PERTURB_EXIT_RTOL below the first
 # exit from the cap.  Should rounding put the returned frame's own defects
-# over the cap anyway, it steps the amplitude back by a relative
-# PERTURB_BRACKET_RTOL up to PERTURB_STEP_BACKS times and then halves it;
-# after PERTURB_MAX_ATTEMPTS frames it returns the input, which is within the
-# cap.  A root s of the Parseval exit's quadratic eigenvalue problem counts as
-# real when |Im s| <= PERTURB_REAL_RTOL * |s|.
+# over the cap anyway, attempt k builds the frame at t exp(-PERTURB_EXIT_RTOL
+# (2^k - 1)): steps back of 1e-9, 3e-9, 7e-9, ... of t, which reach t = 0, the
+# input, within the cap, at attempt 40.  After PERTURB_MAX_ATTEMPTS frames it
+# returns the input.  A root s of the Parseval exit's quadratic eigenvalue
+# problem counts as real when |Im s| <= PERTURB_REAL_RTOL * |s|.
 PERTURB_EXIT_RTOL = 1e-9
-PERTURB_BRACKET_RTOL = 2.0**-12
-PERTURB_STEP_BACKS = 4
 PERTURB_MAX_ATTEMPTS = 60
 PERTURB_REAL_RTOL = 1e-7
 
@@ -260,9 +256,10 @@ def perturb(frame: Frame, eps: float, seed) -> Frame:
     det(S(t) - (1 +/- eps) I) (see ``_norm_exit`` and ``_parseval_exit``).
     The returned frame sits a relative ``PERTURB_EXIT_RTOL`` below that
     exit, and its own defects are checked against the cap: the amplitude
-    steps back in the rare case that rounding puts it over, and is halved
-    should a misplaced root leave it over still.  Amplitude 0 is the input,
-    within the cap, so a valid input never raises.
+    steps back by a few rounding units in the rare case that rounding puts
+    it over, and by doubling steps should a misplaced root leave it over
+    still.  Amplitude 0 is the input, within the cap, so a valid input never
+    raises.
     """
     d = defects(frame)
     if d.max() > 1e-9:
@@ -284,13 +281,12 @@ def perturb(frame: Frame, eps: float, seed) -> Frame:
     t = min(_norm_exit(v, direction, eps), _parseval_exit(frame, direction, eps))
     t *= 1.0 - PERTURB_EXIT_RTOL
     for attempt in range(PERTURB_MAX_ATTEMPTS):
-        out = Frame(v + t * direction)
-        if defects(out).max() <= eps:
-            return out
         # The Frame's eigh can round an extreme eigenvalue over the cap when
         # t sits within rounding of the exit; only a misplaced root needs
-        # the halving.
-        t *= 1.0 - PERTURB_BRACKET_RTOL if attempt < PERTURB_STEP_BACKS else 0.5
+        # the later, coarse steps.
+        out = Frame(v + t * math.exp(-PERTURB_EXIT_RTOL * (2.0**attempt - 1.0)) * direction)
+        if defects(out).max() <= eps:
+            return out
     return frame
 
 
@@ -677,8 +673,10 @@ def equivalence_chain_projection_to_frame(instance: PaulsenInstance) -> Projecti
     eps = defects(frame).equal_norm_eps
     if eps >= 1.0:
         raise ValueError(f"projection diagonal defect {eps:.3e} must be < 1")
-    extracted = np.conj(np.linalg.qr(np.conj(frame.vectors))[0])
-    extraction_residual = hs_norm(vector_gram(extracted) - gram(frame))
+    q, r = np.linalg.qr(np.conj(frame.vectors))
+    extracted = np.conj(q)
+    # Gram F - Gram(extracted) = conj(Q) conj(R R^H - I) Q^T
+    extraction_residual = hs_norm(r @ r.conj().T - np.eye(r.shape[0]))
     lifted = procrustes_rotate(instance.solution.vectors, extracted)
     lift_distance = vector_distance(extracted, lifted)
     dist = instance.projection_distance

@@ -5,11 +5,9 @@ Projections of rank M on C^N stand in for M-dimensional subspaces (their
 ranges).  The central quantities:
 
 * ``proj_distance``   d(P, Q) = sum_i ||P e_i - Q e_i||^2 = ||P - Q||_HS^2
-* ``principal_angles``  cosines are singular values of A^H B for orthonormal
-  basis matrices A, B of the two ranges (basis independent)
+* ``principal_angles``  cosines are singular values of A^H B for the range
+  bases A, B (basis independent); the same SVD gives the principal vectors
 * ``chordal_sq``      sum_j sin^2(theta_j) = M - Tr PQ = d(P, Q) / 2
-* ``aligned_bases``   orthonormal bases paired so that <a_j, b_j> equals the
-  j-th cosine (real, nonnegative) and cross inner products vanish
 * ``frame_lift``      given a Parseval frame F and a target projection Q,
   the Parseval frame G with Gram(G) = Q nearest to F (a Procrustes
   rotation), and sum ||f_i - g_i||^2 <= d(Gram(F), Q)
@@ -25,7 +23,6 @@ from .linalg import as_matrix, herm_eig, hs_norm
 __all__ = [
     "Projection",
     "PrincipalAngles",
-    "AlignedBases",
     "require_parseval",
     "projection_from_frame",
     "frame_from_projection",
@@ -33,7 +30,6 @@ __all__ = [
     "proj_distance",
     "principal_angles",
     "chordal_sq",
-    "aligned_bases",
     "procrustes_rotate",
     "frame_lift",
 ]
@@ -50,11 +46,12 @@ class Projection:
 
     Validation (relative to max(1, HS norm)): Hermiticity and idempotency
     within ``atol``, trace within 1e-8 of the rank inferred from the
-    eigenvalue split at 1/2.  The eigendecomposition made for the rank is
-    kept, and every reader of the range basis reuses it.
+    eigenvalue split at 1/2, and a spectrum that splits at that rank.  One
+    eigendecomposition serves all of it; of it only the range basis is
+    kept, as :attr:`basis`.
     """
 
-    __slots__ = ("_matrix", "_rank", "_eig")
+    __slots__ = ("_matrix", "_rank", "_basis")
 
     def __init__(self, matrix, *, atol: float = 1e-9):
         p = as_matrix(matrix, "matrix")
@@ -66,22 +63,28 @@ class Projection:
         if herm_defect > atol * scale:
             raise ValueError(f"matrix is not Hermitian: defect {herm_defect:.3e}")
         p = 0.5 * (p + p.conj().T)
-        idem_defect = hs_norm(p @ p - p)
+        evals, evecs = herm_eig(p)
+        # ||P^2 - P||_HS = ||lambda^2 - lambda|| for Hermitian P
+        idem_defect = hs_norm(evals * evals - evals)
         if idem_defect > atol * scale:
             raise ValueError(f"matrix is not idempotent: defect {idem_defect:.3e}")
-        eig = herm_eig(p)
-        rank = int(np.count_nonzero(eig.eigenvalues > 0.5))
+        rank = int(np.count_nonzero(evals > 0.5))
         if rank == 0:
             raise ValueError("projection has rank 0")
         trace = float(np.trace(p).real)
         if abs(trace - rank) > 1e-8 * max(1.0, rank):
             raise ValueError(f"trace {trace!r} is not consistent with rank {rank}")
+        # Each eigenvalue lies within 1e-6 of 0 or 1 unless a loose atol let
+        # a matrix that is no projection through.
+        k = n - rank
+        if evals[k] < 1.0 - 1e-6 or (k > 0 and evals[k - 1] > 1e-6):
+            raise ValueError("projection spectrum does not split at rank; matrix is corrupt")
+        basis = np.ascontiguousarray(evecs[:, k:])
         p.flags.writeable = False
-        eig.eigenvalues.flags.writeable = False
-        eig.eigenvectors.flags.writeable = False
+        basis.flags.writeable = False
         self._matrix = p
         self._rank = rank
-        self._eig = eig
+        self._basis = basis
 
     @property
     def matrix(self) -> np.ndarray:
@@ -95,31 +98,31 @@ class Projection:
     def rank(self) -> int:
         return self._rank
 
+    @property
+    def basis(self) -> np.ndarray:
+        """Read-only N x M matrix with orthonormal columns spanning range(P):
+        the eigenvectors of the top ``rank`` eigenvalues."""
+        return self._basis
+
     def __repr__(self) -> str:
         return f"Projection(size={self.size}, rank={self.rank})"
 
 
 @dataclass(frozen=True)
 class PrincipalAngles:
-    """Angles between two equal-rank subspaces; cosines descending in [0, 1]."""
-
-    cosines: np.ndarray
-    angles: np.ndarray
-
-    def sin_sq_sum(self) -> float:
-        return float(np.sum(np.sin(self.angles) ** 2))
-
-
-@dataclass(frozen=True)
-class AlignedBases:
-    """Orthonormal basis matrices of two ranges, column-paired along angles.
-
-    Columns satisfy <a_j, b_j> = cos(theta_j) (real, nonnegative),
+    """Angles between two equal-rank subspaces, cosines descending in [0, 1],
+    and orthonormal basis matrices of the two ranges, column-paired along
+    the angles: <a_j, b_j> = cos(theta_j) (real, nonnegative),
     <a_j, b_k> = 0 for j != k, and ||a_j - b_j||^2 = 4 sin^2(theta_j / 2).
     """
 
+    cosines: np.ndarray
+    angles: np.ndarray
     first: np.ndarray
     second: np.ndarray
+
+    def sin_sq_sum(self) -> float:
+        return float(np.sum(np.sin(self.angles) ** 2))
 
     def pair_distance_sq_sum(self) -> float:
         return float(np.sum(np.abs(self.first - self.second) ** 2))
@@ -146,7 +149,7 @@ def frame_from_projection(p: Projection) -> Frame:
 
     The resulting frame's Gram matrix reproduces ``p.matrix``.
     """
-    return Frame(np.conj(_range_basis(p)))
+    return Frame(np.conj(p.basis))
 
 
 def diagonal_defect(p: Projection) -> float:
@@ -168,20 +171,6 @@ def _check_equal_ranks(p: Projection, q: Projection) -> None:
         raise ValueError(f"projection ranks differ: {p.rank} vs {q.rank}")
 
 
-def _range_basis(p: Projection) -> np.ndarray:
-    """N x M matrix with orthonormal columns spanning range(P).
-
-    Columns are the eigenvectors of the top ``rank`` eigenvalues, each within
-    1e-6 of 1; for a validated projection the spectrum splits cleanly, so
-    this is a sanity gate rather than a numerical decision.
-    """
-    evals, evecs = p._eig
-    k = p.size - p.rank
-    if evals[k] < 1.0 - 1e-6 or (k > 0 and evals[k - 1] > 1e-6):
-        raise ValueError("projection spectrum does not split at rank; matrix is corrupt")
-    return np.ascontiguousarray(evecs[:, k:])
-
-
 def _clamped_cosines(s: np.ndarray) -> np.ndarray:
     if s.size and float(s[0]) > 1.0 + COSINE_OVERSHOOT:
         raise ArithmeticError(f"principal-angle cosine overshoot: {float(s[0])!r}")
@@ -189,35 +178,21 @@ def _clamped_cosines(s: np.ndarray) -> np.ndarray:
 
 
 def principal_angles(p: Projection, q: Projection) -> PrincipalAngles:
-    """Principal angles between range(P) and range(Q), cosines descending."""
+    """Principal angles and vectors of range(P) and range(Q) from one SVD
+    U S V^H of A^H B for their range bases A and B: the cosines S and the
+    paired bases A U and B V.  The singular vectors' phases make each
+    <a_j, b_j> real and nonnegative, as the pairing needs over C."""
     _check_equal_ranks(p, q)
-    a0 = _range_basis(p)
-    b0 = _range_basis(q)
-    s = np.linalg.svd(a0.conj().T @ b0, compute_uv=False)
+    a, b = p.basis, q.basis
+    u, s, vh = np.linalg.svd(a.conj().T @ b)
     cos = _clamped_cosines(s)
-    return PrincipalAngles(cosines=cos, angles=np.arccos(cos))
+    return PrincipalAngles(cosines=cos, angles=np.arccos(cos), first=a @ u, second=b @ vh.conj().T)
 
 
 def chordal_sq(p: Projection, q: Projection) -> float:
     """Squared chordal distance M - Tr PQ between the two ranges."""
     _check_equal_ranks(p, q)
     return float(p.rank - np.trace(p.matrix @ q.matrix).real)
-
-
-def aligned_bases(p: Projection, q: Projection) -> AlignedBases:
-    """Orthonormal bases of the two ranges rotated onto the principal vectors.
-
-    Taking the SVD U S V^H of the cross-correlation A0^H B0 and returning
-    (A0 U, B0 V) makes the pairwise inner products exactly the (real,
-    nonnegative) singular values, which is the phase correction needed for
-    ||a_j - b_j||^2 = 4 sin^2(theta_j / 2) to hold over C.
-    """
-    _check_equal_ranks(p, q)
-    a0 = _range_basis(p)
-    b0 = _range_basis(q)
-    u, s, vh = np.linalg.svd(a0.conj().T @ b0)
-    _clamped_cosines(s)
-    return AlignedBases(first=a0 @ u, second=b0 @ vh.conj().T)
 
 
 def procrustes_rotate(vectors: np.ndarray, onto: np.ndarray) -> np.ndarray:
@@ -240,4 +215,4 @@ def frame_lift(frame: Frame, q: Projection) -> Frame:
         raise ValueError(f"projection size {q.size} != frame vector count {frame.n_vectors}")
     if q.rank != frame.dim:
         raise ValueError(f"projection rank {q.rank} != frame dimension {frame.dim}")
-    return Frame(procrustes_rotate(np.conj(_range_basis(q)), frame.vectors))
+    return Frame(procrustes_rotate(np.conj(q.basis), frame.vectors))

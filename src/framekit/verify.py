@@ -54,7 +54,6 @@ from .paulsen import (
 )
 from .subspaces import (
     Projection,
-    aligned_bases,
     chordal_sq,
     frame_lift,
     principal_angles,
@@ -182,12 +181,12 @@ def aligned_basis_slacks(p: Projection, q: Projection) -> tuple:
     and how far the bases are from pairing along the principal cosines:
     A^H B = diag(cos) and ||a_j - b_j||^2 = 2 (1 - cos_j)."""
     dc = chordal_sq(p, q)
-    ab = aligned_bases(p, q)
-    pair_sum = ab.pair_distance_sq_sum()
-    cos = principal_angles(p, q).cosines
-    col_dist = np.sum(np.abs(ab.first - ab.second) ** 2, axis=0)
+    ang = principal_angles(p, q)
+    pair_sum = ang.pair_distance_sq_sum()
+    cos = ang.cosines
+    col_dist = np.sum(np.abs(ang.first - ang.second) ** 2, axis=0)
     pairing = max(
-        float(np.max(np.abs(ab.first.conj().T @ ab.second - np.diag(cos)))),
+        float(np.max(np.abs(ang.first.conj().T @ ang.second - np.diag(cos)))),
         float(np.max(np.abs(col_dist - 2.0 * (1.0 - cos)))),
     )
     return max(dc - pair_sum, pair_sum - 4.0 * dc), pairing

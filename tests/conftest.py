@@ -3,11 +3,11 @@ import pytest
 
 from framekit import (
     Frame,
-    aligned_bases,
     analysis_matrix,
     canonical_parseval,
     derive_seed,
     perturb,
+    principal_angles,
     projection_from_frame,
     random_equal_norm_parseval,
 )
@@ -34,8 +34,8 @@ def aligned_lift(f, q):
     bases of range(Gram F) and range(Q) paired along the principal angles,
     F identified with the first through C = A^H T_F, and the second carried
     back through C."""
-    ab = aligned_bases(projection_from_frame(f), q)
-    return Frame(np.conj(ab.second @ (ab.first.conj().T @ analysis_matrix(f))))
+    ang = principal_angles(projection_from_frame(f), q)
+    return Frame(np.conj(ang.second @ (ang.first.conj().T @ analysis_matrix(f))))
 
 
 def suite_perturbed(label: str, least_extra: int, seed: int = 0, trials: int = 100):
@@ -92,3 +92,9 @@ def eigh_calls(monkeypatch):
 def eigvalsh_calls(monkeypatch):
     """Record the shape of every ``numpy.linalg.eigvalsh`` argument from here on."""
     return _record_calls(monkeypatch, "eigvalsh")
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Record the shape of every ``numpy.linalg.svd`` argument from here on."""
+    return _record_calls(monkeypatch, "svd")

@@ -94,10 +94,12 @@ class TestRandomEqualNormParseval:
 def perturb_cases(count: int = 200):
     """Seeded (M, N, eps, seed) for perturb: M 1-8, N from M to 40, eps
     log-uniform from 1e-9 to 0.99, with the corners and every fourth draw
-    square."""
+    square, and two draws whose first frame rounds over the cap."""
     corners = [(m, n, eps) for m, n in [(1, 1), (1, 40), (8, 8), (8, 40)] for eps in (1e-9, 0.99)]
     for seed, (m, n, eps) in enumerate(corners):
         yield m, n, eps, seed
+    yield 8, 35, 1.0365406239147395e-06, 546008
+    yield 7, 25, 1.0309582062134762e-06, 663954
     rng = np.random.default_rng(608)
     for seed in range(len(corners), count):
         m = int(rng.integers(1, 9))
@@ -170,15 +172,18 @@ class TestPerturb:
 
     def test_cap_holds_through_halving_when_no_root_is_real(self, monkeypatch, eigh_calls):
         # with no real root the Parseval exit is lost; where it comes first
-        # the norm exit lies past the cap, and only halving gets back in
+        # the norm exit lies past the cap, and only the coarse steps, which
+        # cut the amplitude by more than 1%, get back in
         monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.full(np.shape(a)[:-1], 1j))
+        # one eigh per frame built; attempt k steps back by (2^k - 1) 1e-9
+        coarse = math.log2(1.0 + 0.01 / paulsen.PERTURB_EXIT_RTOL)
         halved = 0
         for seed in range(20):
             base = random_equal_norm_parseval(3, 8, seed)
             eigh_calls.clear()
             f = perturb(base, 0.05, seed)
             assert defects(f).max() <= 0.05
-            halved += len(eigh_calls) > 1 + paulsen.PERTURB_STEP_BACKS
+            halved += len(eigh_calls) > coarse + 1
         assert halved > 0
 
     def test_first_exit_lands_at_the_cap(self):
@@ -608,6 +613,15 @@ class TestEquivalenceChains:
             lift = frame_distance(extracted, aligned_lift(extracted, q))
             assert abs(r2.lift_distance - lift) <= 1e-10, t
             assert abs(r2.ratio - chain_bound(lift, 2.0, dist)["ratio"]) <= 1e-10, t
+
+    def test_extraction_residual_matches_the_gram_reference(self):
+        # read from the QR's triangular factor; the N x N Grams are the reference
+        tall = canonical_parseval(perturb(random_equal_norm_parseval(4, 1000, 1), 0.05, 2))
+        for t, f in enumerate([*suite_frames("eq", 0), tall]):
+            r2 = equivalence_chain_projection_to_frame(nearest_equal_norm_parseval(f))
+            extracted = Frame(np.conj(np.linalg.qr(np.conj(f.vectors))[0]))
+            reference = hs_norm(gram(extracted) - gram(f))
+            assert abs(r2.extraction_residual - reference) <= 1e-14, t
 
     def test_both_chains_form_one_projection_distance(self, monkeypatch):
         f = canonical_parseval(perturb(random_equal_norm_parseval(3, 8, 1), 0.05, 2))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from conftest import aligned_lift, within
 from framekit import (
     Frame,
     Projection,
-    aligned_bases,
     canonical_parseval,
     chordal_sq,
     defects,
@@ -61,6 +61,38 @@ class TestProjectionType:
         p = coordinate_projection(3, [0])
         with pytest.raises(ValueError):
             p.matrix[0, 0] = 2.0
+
+    def test_idempotency_defect_is_the_matrix_defect(self):
+        # the defect is read from the spectrum; the N x N product is the reference
+        rng = np.random.default_rng(29)
+        for t in range(50):
+            n = int(rng.integers(1, 13))
+            x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            h = 0.5 * (x + x.conj().T)
+            if t % 2:
+                # near a projection, where the defect is small
+                u = np.linalg.qr(x)[0][:, : int(rng.integers(1, n + 1))]
+                h = u @ u.conj().T + 10.0 ** rng.uniform(-6.0, -1.0) * h
+            with pytest.raises(ValueError, match="not idempotent") as err:
+                Projection(h)
+            printed = float(re.search(r"defect (\S+)$", str(err.value)).group(1))
+            reference = hs_norm(h @ h - h)
+            assert abs(printed - reference) <= 1e-3 * reference, t
+
+    def test_rejects_a_spectrum_that_does_not_split(self):
+        # a loose atol lets the idempotency and trace checks pass
+        with pytest.raises(ValueError, match="does not split"):
+            Projection(np.diag([0.4, 0.6, 1.0]), atol=0.5)
+
+    def test_basis_spans_the_range(self):
+        for t in range(20):
+            for p in random_projection_pair(t):
+                basis = p.basis
+                assert basis.shape == (p.size, p.rank)
+                with pytest.raises(ValueError):
+                    basis[0, 0] = 2.0
+                assert hs_norm(basis.conj().T @ basis - np.eye(p.rank)) <= 1e-12
+                assert hs_norm(p.matrix @ basis - basis) <= 1e-12
 
 
 class TestDiagonalDefect:
@@ -129,22 +161,24 @@ class TestPrincipalAngles:
 class TestRangeBasisReuse:
     """A projection is decomposed once, when it is validated."""
 
-    def test_principal_angles_makes_no_decomposition(self, eigh_calls):
+    def test_principal_angles_makes_no_decomposition(self, eigh_calls, svd_calls):
         for t in range(5):
             p, q = random_projection_pair(t)
             eigh_calls.clear()
+            svd_calls.clear()
             principal_angles(p, q)
-            aligned_bases(p, q)
             assert eigh_calls == []
+            assert svd_calls == [(p.rank, q.rank)]
 
     def test_frame_from_projection_decomposes_only_the_new_frame(self, eigh_calls):
-        p, _ = random_projection_pair(3)
-        eigh_calls.clear()
-        f = frame_from_projection(p)
-        assert eigh_calls == [(p.rank, p.rank)]
-        # a fresh decomposition of the matrix is the reference
-        basis = herm_eig(p.matrix).eigenvectors[:, -p.rank :]
-        assert np.array_equal(f.vectors, np.conj(basis))
+        for t in range(20):
+            for p in random_projection_pair(t):
+                eigh_calls.clear()
+                f = frame_from_projection(p)
+                assert eigh_calls == [(p.rank, p.rank)]
+                # a fresh decomposition of the matrix is the reference
+                basis = herm_eig(p.matrix).eigenvectors[:, -p.rank :]
+                assert np.array_equal(f.vectors, np.conj(basis)), t
 
 
     def test_frame_lift_decomposes_only_the_new_frame(self, eigh_calls):
@@ -180,13 +214,13 @@ class TestChordal:
 class TestAlignedBases:
     def test_equal_projections_align_exactly(self):
         p = projection_from_frame(random_parseval(2, 6, 3))
-        ab = aligned_bases(p, p)
+        ab = principal_angles(p, p)
         assert ab.pair_distance_sq_sum() <= 1e-18
 
     def test_coordinate_example_value(self, c4_pair):
         p, q = c4_pair
         # angles (0, pi/2): 4 sin^2(0) + 4 sin^2(pi/4) = 2, inside [1, 4]
-        ab = aligned_bases(p, q)
+        ab = principal_angles(p, q)
         s = ab.pair_distance_sq_sum()
         assert abs(s - 2.0) <= 1e-12
         dc = chordal_sq(p, q)
@@ -197,15 +231,15 @@ class TestAlignedBases:
             p, q = random_projection_pair(2000 + t)
             sandwich, pairing = aligned_basis_slacks(p, q)
             within("aligned-basis-pairing", pairing, t)
-            ab = aligned_bases(p, q)
-            half_angles = np.arccos(principal_angles(p, q).cosines) / 2.0
+            ab = principal_angles(p, q)
+            half_angles = ab.angles / 2.0
             col_dist = np.sum(np.abs(ab.first - ab.second) ** 2, axis=0)
             assert np.max(np.abs(col_dist - 4.0 * np.sin(half_angles) ** 2)) <= 1e-9
             within("aligned-basis-sandwich", sandwich, t)
 
     def test_columns_stay_orthonormal(self):
         p, q = random_projection_pair(999)
-        ab = aligned_bases(p, q)
+        ab = principal_angles(p, q)
         m = p.rank
         assert hs_norm(ab.first.conj().T @ ab.first - np.eye(m)) <= 1e-10
         assert hs_norm(ab.second.conj().T @ ab.second - np.eye(m)) <= 1e-10

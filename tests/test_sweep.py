@@ -1,4 +1,4 @@
-import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,8 +6,9 @@ import pytest
 from framekit import Projection, RankDeficientError, derive_seed, sweep
 from framekit.sweep import CSV_COLUMNS, ExperimentConfig, run_sweep
 
-# Acceptance criterion 11's grid.  Its CSV bytes are pinned so that a change
-# claiming bit-identical sweep output is held to it.
+# Acceptance criterion 11's grid.  Its CSV is checked in and compared byte
+# for byte, so that a change claiming bit-identical sweep output is held to
+# it, and a change that moves the bytes on purpose shows which ones moved.
 SMALL = {
     "M_range": [2, 3],
     "N_range": [4, 6],
@@ -17,13 +18,17 @@ SMALL = {
     "tolerance": 1e-10,
     "output_path": "small.csv",
 }
-SMALL_SHA256 = "d342f46abb6d10fb313c1c99054e70ed75383511d69d4bbda2e38865ae967538"
+SMALL_CSV = Path(__file__).parent / "data" / "small_sweep.csv"
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_small_sweep_bytes_are_pinned(jobs):
-    csv_text = run_sweep(ExperimentConfig.from_dict(SMALL), jobs=jobs)
-    assert hashlib.sha256(csv_text.encode()).hexdigest() == SMALL_SHA256
+    got = run_sweep(ExperimentConfig.from_dict(SMALL), jobs=jobs).encode()
+    expected = SMALL_CSV.read_bytes()
+    if got != expected:
+        pairs = enumerate(zip(got.splitlines(True) + [b""], expected.splitlines(True) + [b""]), 1)
+        line, (a, b) = next((i, ab) for i, ab in pairs if ab[0] != ab[1])
+        pytest.fail(f"line {line} differs from {SMALL_CSV.name}:\n got      {a!r}\n expected {b!r}")
 
 
 @pytest.mark.parametrize(
